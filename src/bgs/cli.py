@@ -189,11 +189,17 @@ def validate_config(raw) -> dict:
     if chk.section(tsec, "time", {"dt", "t_end"}):
         chk.number(tsec, "time", "dt", lo=0.0, strict_lo=True)
         chk.number(tsec, "time", "t_end", lo=0.0, strict_lo=True)
-        dt, t_end = tsec.get("dt"), tsec.get("t_end")
+        dt = tsec.get("dt", cfg["time"]["dt"])
+        t_end = tsec.get("t_end", cfg["time"]["t_end"])
         if (isinstance(dt, (int, float)) and isinstance(t_end, (int, float))
                 and not isinstance(dt, bool) and not isinstance(t_end, bool)
-                and dt > 0 and t_end > 0 and dt > t_end * (1 + 1e-12)):
-            chk.fail("time.dt", "must not exceed time.t_end")
+                and math.isfinite(dt) and math.isfinite(t_end)
+                and dt > 0 and t_end > 0):
+            if dt > t_end * (1 + 1e-12):
+                chk.fail("time.dt", "must not exceed time.t_end")
+            elif not solver.whole_steps(dt, t_end):
+                chk.fail("time.t_end", f"must be a whole number of time.dt "
+                         f"steps, got {t_end!r}/{dt!r}")
 
     solv = raw.get("solver", {})
     if chk.section(solv, "solver",

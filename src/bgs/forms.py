@@ -467,8 +467,12 @@ def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
     def worker(lo, hi):
         rot, div = _vector_rot_div(spaces, lo, hi)
         w = spaces.quad_w[lo:hi] * gam[lo:hi]
-        outer = _sym_outer(rot) + _sym_outer(div)        # (m, nq, 12, 12)
-        return np.einsum("tq,tqij->tij", w, outer)
+        # one quadrature point at a time keeps temporaries at (m, 12, 12)
+        loc = np.zeros((hi - lo, 12, 12))
+        for q in range(w.shape[1]):
+            loc += w[:, q, None, None] * (_sym_outer(rot[:, q])
+                                          + _sym_outer(div[:, q]))
+        return loc
 
     n = spaces.velocity_dim
     return _gather(spaces, worker, spaces.vel_dofs, spaces.vel_dofs, (n, n))

@@ -6,7 +6,9 @@ with the fresh temperature driving buoyancy and viscosity.  An optional
 Picard loop repeats both stages at the latest iterates, converging to
 the fully implicit scheme.  Skew advection plus SPD implicit diffusion
 make the unforced energies non-increasing at every pass, so the loop
-never needs damping at desk scale.
+never needs damping at desk scale.  The first pass of a step factors the
+saddle system; later passes solve it by GMRES preconditioned with that
+factor and refactor only when GMRES misses its tolerance.
 """
 
 from __future__ import annotations
@@ -90,6 +92,12 @@ class State:
     P: FieldVector
 
 
+def whole_steps(dt: float, t_end: float) -> bool:
+    """Whether t_end/dt is within 1e-9 of a whole number."""
+    ratio = t_end / dt
+    return abs(ratio - round(ratio)) <= 1e-9
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -97,7 +105,6 @@ class SolverConfig:
     picard_max: int = 25
     picard_tol: float = 1e-10
     picard_enabled: bool = True
-    linear_solver: str = "direct"
     constants_for_re_ra: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
 
     def __post_init__(self):
@@ -107,12 +114,12 @@ class SolverConfig:
             raise ValueError("t_end must be finite and > 0")
         if self.dt > self.t_end * (1 + 1e-12):
             raise ValueError("dt must not exceed t_end")
+        if not whole_steps(self.dt, self.t_end):
+            raise ValueError("t_end must be a whole number of dt steps")
         if self.picard_max < 1:
             raise ValueError("picard_max must be >= 1")
         if not (self.picard_tol > 0):
             raise ValueError("picard_tol must be > 0")
-        if self.linear_solver != "direct":
-            raise ValueError("only the direct sparse solver is supported")
         object.__setattr__(self, "constants_for_re_ra",
                            _as_constants(self.constants_for_re_ra))
 
@@ -175,9 +182,16 @@ def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
         buoyancy=forms.assemble_buoyancy(spaces, problem.beta, problem.g))
 
 
-def _solve_constrained(matrix: sp.spmatrix, rhs: np.ndarray,
-                       fixed: np.ndarray, stage: str) -> np.ndarray:
-    """Direct solve with homogeneous essential dofs eliminated in place.
+# Later Picard passes of a step solve the saddle system by GMRES
+# preconditioned with the factor taken on the step's first pass.
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_RESTART = 15
+_KRYLOV_MAXITER = 1     # one restart cycle: at most 15 iterations
+
+
+def _constrain(matrix: sp.spmatrix, rhs: np.ndarray,
+               fixed: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Eliminate homogeneous essential dofs in place.
 
     Masking rows and columns and dropping a 1 on the diagonal keeps the
     sparsity pattern and symmetry class of the operator intact.
@@ -188,10 +202,49 @@ def _solve_constrained(matrix: sp.spmatrix, rhs: np.ndarray,
     dm = sp.diags(mask)
     ind = np.zeros(n)
     ind[fixed] = 1.0
-    system = (dm @ matrix @ dm + sp.diags(ind)).tocsc()
+    return (dm @ matrix @ dm + sp.diags(ind)).tocsc(), rhs * mask
+
+
+def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu) -> np.ndarray | None:
+    """GMRES preconditioned by lu; None unless the true residual is tiny."""
+    precond = spla.LinearOperator(system.shape, matvec=lu.solve)
+    x, info = spla.gmres(system, rhs, rtol=_KRYLOV_RTOL, atol=0.0,
+                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
+                         M=precond)
+    if info != 0:
+        return None
+    # written so that a non-finite residual also rejects x
+    if not np.linalg.norm(system @ x - rhs) <= _KRYLOV_RTOL * np.linalg.norm(rhs):
+        return None
+    return x
+
+
+class _LaggedFactor:
+    """Holds the saddle factor of one step for reuse on its later passes."""
+
+    def __init__(self):
+        self.lu = None
+
+    def solve(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is not None:
+            x = _krylov_solve(system, rhs, self.lu)
+            if x is not None:
+                return x
+            self.lu = None      # release the stale factor before refactoring
+        self.lu = spla.splu(system)
+        return self.lu.solve(rhs)
+
+
+def _solve_constrained(matrix: sp.spmatrix, rhs: np.ndarray,
+                       fixed: np.ndarray, stage: str,
+                       lagged: _LaggedFactor | None = None) -> np.ndarray:
+    """Solve with essential dofs eliminated; fresh LU unless lagged is given."""
+    system, rhs = _constrain(matrix, rhs, fixed)
     try:
-        lu = spla.splu(system)
-        x = lu.solve(rhs * mask)
+        if lagged is None:
+            x = spla.splu(system).solve(rhs)
+        else:
+            x = lagged.solve(system, rhs)
     except RuntimeError as exc:
         raise SolverError(f"{stage} stage: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -210,7 +263,7 @@ def _temperature_pass(spaces, problem, config, ops, w_old, z_coeff, w_coeff,
 
 
 def _velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new,
-                   load) -> tuple[np.ndarray, np.ndarray]:
+                   load, lagged) -> tuple[np.ndarray, np.ndarray]:
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
@@ -222,7 +275,7 @@ def _velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new,
         - problem.buoyancy_sign * (ops.buoyancy @ w_new),
         np.zeros(spaces.head_dim)])
     x = _solve_constrained(saddle, rhs, spaces.fixed_velocity_dofs,
-                           "velocity/head")
+                           "velocity/head", lagged)
     return x[:spaces.velocity_dim], x[spaces.velocity_dim:]
 
 
@@ -243,6 +296,7 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
 
     z_coeff, w_coeff = state.z, state.w
     z_new = w_new = p_new = None
+    lagged = _LaggedFactor()
     passes = 0
     converged = True
     while True:
@@ -250,7 +304,8 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
         w_next = _temperature_pass(spaces, problem, config, ops,
                                    state.w.values, z_coeff, w_coeff, load_w)
         z_next, p_next = _velocity_pass(spaces, problem, config, ops,
-                                        state.z.values, z_coeff, w_next, load_z)
+                                        state.z.values, z_coeff, w_next, load_z,
+                                        lagged)
         if z_new is not None:
             rel = max(_increment(z_next, z_new), _increment(w_next, w_new))
         else:

@@ -88,6 +88,15 @@ def test_bad_coefficient_law_exits_2(tmp_path, capsys):
     assert "viscosity" in capsys.readouterr().err
 
 
+def test_t_end_not_whole_number_of_steps_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, time={"dt": 0.03, "t_end": 0.1})
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "ERROR: config: time.t_end: must be a whole number" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gamma1_sides_must_be_proper_subset(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, mesh={"gamma1_sides": ["left", "right", "top", "bottom"]})

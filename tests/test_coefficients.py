@@ -146,10 +146,10 @@ def test_tanh_blend_stays_in_band(lo, width, w):
 @settings(max_examples=200, deadline=None)
 def test_tanh_blend_difference_quotient_below_lipschitz(a, b, lo, width):
     law = tanh_blend_law(lo, lo + width)
-    if abs(a - b) < 1e-9:
-        return
-    quotient = abs(law(a) - law(b)) / abs(a - b)
-    assert quotient <= law.lipschitz * (1.0 + 1e-10)
+    # each evaluation of law lies within about eps*hi of the exact value,
+    # so the rounded difference may exceed the exact one by about 2*eps*hi
+    slack = 4.0 * np.finfo(float).eps * law.hi
+    assert abs(law(a) - law(b)) <= law.lipschitz * abs(a - b) + slack
 
 
 @given(

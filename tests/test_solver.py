@@ -1,7 +1,10 @@
 """Time stepping, diagnostics, constants estimation, error handling."""
 
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
@@ -68,8 +71,6 @@ def test_solver_config_rejects_bad_values():
     with pytest.raises(ValueError):
         SolverConfig(picard_tol=0.0, **good)
     with pytest.raises(ValueError):
-        SolverConfig(linear_solver="iterative", **good)
-    with pytest.raises(ValueError):
         SolverConfig(constants_for_re_ra={"c1": -1.0}, **good)
     with pytest.raises(ValueError):
         SolverConfig(constants_for_re_ra={"c9": 1.0}, **good)
@@ -81,6 +82,14 @@ def test_num_steps_rounding():
     assert SolverConfig(dt=1.0 / 3.0, t_end=1.0).num_steps == 3
     assert SolverConfig(dt=0.1, t_end=0.1).num_steps == 1
     assert SolverConfig(dt=1e-3, t_end=0.1).num_steps == 100
+
+
+def test_t_end_must_be_whole_number_of_steps():
+    # 0.1/0.03 would round up to 4 steps and end the run at t=0.12
+    with pytest.raises(ValueError, match="whole number"):
+        SolverConfig(dt=0.03, t_end=0.1)
+    with pytest.raises(ValueError, match="whole number"):
+        SolverConfig(dt=0.1, t_end=0.25)
 
 
 def test_problem_data_validation():
@@ -257,7 +266,7 @@ def test_run_prefixes_failures_with_step_index(spaces_2x2, monkeypatch):
 # independent dense reassembly of one full step
 
 
-def test_single_step_matches_dense_oracle():
+def _assert_step_matches_dense_oracle():
     mesh = build_rectangle_mesh(2, 2, ("left",))
     spaces = build_spaces(mesh)
     problem = ProblemData(
@@ -283,3 +292,95 @@ def test_single_step_matches_dense_oracle():
     assert np.max(np.abs(state1.w.values - w_ref)) < tol
     assert np.max(np.abs(state1.P.values - p_ref)) < tol
     assert diag.picard_iters == passes
+    return passes
+
+
+def test_single_step_matches_dense_oracle():
+    _assert_step_matches_dense_oracle()
+
+
+# ---------------------------------------------------------------------------
+# lagged saddle factor: GMRES on later Picard passes, direct fallback
+
+
+def _gmres_never_converges(monkeypatch):
+    def gmres(A, b, *args, **kwargs):
+        return np.zeros_like(b), 1
+    monkeypatch.setattr(spla, "gmres", gmres)
+
+
+def _count_calls(monkeypatch, name):
+    real = getattr(spla, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spla, name, counted)
+    return calls
+
+
+def _mms_run(spaces):
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.8, 1.2))
+    problem = oracles.make_mms_problem(model, beta=1.0)
+    return run(spaces, problem, SolverConfig(dt=0.01, t_end=0.04))
+
+
+def test_lagged_factor_matches_fresh_factoring_pass_for_pass():
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    with pytest.MonkeyPatch.context() as mp:
+        gmres_calls = _count_calls(mp, "gmres")
+        lagged_states, lagged_diags = _mms_run(spaces)
+    with pytest.MonkeyPatch.context() as mp:
+        _gmres_never_converges(mp)
+        fresh_states, fresh_diags = _mms_run(spaces)
+
+    passes = [d.picard_iters for d in lagged_diags]
+    assert passes == [d.picard_iters for d in fresh_diags]
+    # every pass after the first of each step went through GMRES
+    assert len(gmres_calls) == sum(passes) - len(passes) > 0
+    for a, b in zip(lagged_states[1:], fresh_states[1:]):
+        for name in ("z", "w", "P"):
+            gap = getattr(a, name).values - getattr(b, name).values
+            assert np.max(np.abs(gap)) < 1e-10
+
+
+def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
+    _gmres_never_converges(monkeypatch)
+    splu_calls = _count_calls(monkeypatch, "splu")
+    passes = _assert_step_matches_dense_oracle()
+    # one temperature and one saddle factorization on every pass
+    assert len(splu_calls) == 2 * passes
+
+
+def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
+                                                           monkeypatch):
+    _gmres_never_converges(monkeypatch)
+    saddle_dim = spaces_4x4.velocity_dim + spaces_4x4.head_dim
+    real_splu = spla.splu
+    factors = []        # weak references to every saddle factor handed out
+    live_at_splu = []
+
+    class Factor:
+        """Weak-referenceable stand-in; a LinearOperator over it keeps it alive."""
+
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            return self._lu.solve(rhs)
+
+    def splu(matrix, *args, **kwargs):
+        if matrix.shape[0] != saddle_dim:
+            return real_splu(matrix, *args, **kwargs)
+        live_at_splu.append(sum(ref() is not None for ref in factors))
+        factor = Factor(real_splu(matrix, *args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", splu)
+    _, diags = run(spaces_4x4, cavity_problem(), SolverConfig(dt=0.05, t_end=0.1))
+    assert len(live_at_splu) == sum(d.picard_iters for d in diags)
+    assert max(d.picard_iters for d in diags) > 1
+    assert live_at_splu == [0] * len(live_at_splu)
+    assert all(ref() is None for ref in factors)
