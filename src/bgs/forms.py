@@ -6,25 +6,17 @@ live in continuous piecewise linears on the same mesh.  The momentum
 diffusion uses the rotational form (gamma(w) rot z, rot phi) plus a
 div-div stabilization term, so skew advection and divergence control
 give unconditional energy decay of the time stepper.
-
-Assembly is vectorized per fixed 512-element chunk; the chunk partition
-never depends on the thread count (BGS_THREADS), so results are
-bit-reproducible regardless of parallelism.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GAMMA1, GAMMA2, Mesh, triangle_areas, unique_edges
+from .mesh import GAMMA1, GAMMA2, Mesh, unique_edges
 from .quadrature import edge_rule, triangle_rule
-
-_CHUNK = 512  # elements per assembly chunk; fixed so results never depend on threads
 
 
 def _sym_outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -363,65 +355,26 @@ def scalar_grad(spaces: FunctionSpaces, f: FieldVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic chunked assembly
+# assembly
 
 
-def _threads() -> int:
-    raw = os.environ.get("BGS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BGS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"BGS_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _chunk_ranges(nt: int):
-    return [(s, min(s + _CHUNK, nt)) for s in range(0, nt, _CHUNK)]
-
-
-def _map_chunks(worker, nt: int):
-    """Run worker(lo, hi) over fixed chunks, results in chunk order."""
-    ranges = _chunk_ranges(nt)
-    n = _threads()
-    if n <= 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(lambda r: worker(*r), ranges))
-
-
-def _to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=shape).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
+def _scatter(loc, row_map, col_map, shape) -> sp.csr_matrix:
+    """Sum the element blocks loc[t] into CSR at (row_map[t], col_map[t])."""
+    m, a, b = loc.shape
+    rows = np.broadcast_to(row_map[:, :, None], (m, a, b)).ravel()
+    cols = np.broadcast_to(col_map[:, None, :], (m, a, b)).ravel()
+    mat = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr()
     if not np.all(np.isfinite(mat.data)):
         raise ValueError("assembled operator contains non-finite entries")
     return mat
 
 
-def _gather(spaces, worker, row_map, col_map, shape):
-    """Assemble sum over elements of local blocks produced by worker."""
-    rows, cols, vals = [], [], []
-    nt = spaces.mesh.num_triangles
-    for (lo, hi), loc in zip(_chunk_ranges(nt), _map_chunks(worker, nt)):
-        m, a, b = loc.shape
-        r = np.broadcast_to(row_map[lo:hi, :, None], (m, a, b))
-        c = np.broadcast_to(col_map[lo:hi, None, :], (m, a, b))
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(loc.ravel())
-    return _to_csr(rows, cols, vals, shape)
-
-
-def _vector_rot_div(spaces, lo, hi):
+def _vector_rot_div(spaces):
     """Rot and div of the 12 local velocity basis fields at quadrature points."""
-    g = spaces.p2_grad_at_q[lo:hi]                    # (m, nq, 6, 2)
-    m, nq = g.shape[:2]
-    rot = np.empty((m, nq, 12))
-    div = np.empty((m, nq, 12))
+    g = spaces.p2_grad_at_q                           # (nt, nq, 6, 2)
+    nt, nq = g.shape[:2]
+    rot = np.empty((nt, nq, 12))
+    div = np.empty((nt, nq, 12))
     rot[..., 0::2] = -g[..., 1]                       # x-component basis
     rot[..., 1::2] = g[..., 0]                        # y-component basis
     div[..., 0::2] = g[..., 0]
@@ -432,24 +385,17 @@ def _vector_rot_div(spaces, lo, hi):
 def assemble_mass(spaces: FunctionSpaces, which: str) -> sp.csr_matrix:
     """L2 mass matrix of the velocity or temperature space."""
     if which == "velocity":
-        outer = _sym_outer(spaces.p2_at_q)               # (nq, 6, 6)
-
-        def worker(lo, hi):
-            m6 = np.einsum("tq,qab->tab", spaces.quad_w[lo:hi], outer)
-            loc = np.zeros((hi - lo, 12, 12))
-            loc[:, 0::2, 0::2] = m6
-            loc[:, 1::2, 1::2] = m6
-            return loc
+        m6 = np.einsum("tq,qab->tab", spaces.quad_w, _sym_outer(spaces.p2_at_q))
+        loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
+        loc[:, 0::2, 0::2] = m6
+        loc[:, 1::2, 1::2] = m6
         n = spaces.velocity_dim
-        return _gather(spaces, worker, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+        return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
     if which == "temperature":
-        outer = _sym_outer(spaces.p1_at_q)
-
-        def worker(lo, hi):
-            return np.einsum("tq,qab->tab", spaces.quad_w[lo:hi], outer)
+        loc = np.einsum("tq,qab->tab", spaces.quad_w, _sym_outer(spaces.p1_at_q))
         n = spaces.temperature_dim
         t = spaces.mesh.triangles
-        return _gather(spaces, worker, t, t, (n, n))
+        return _scatter(loc, t, t, (n, n))
     raise ValueError(f"unknown mass space {which!r}")
 
 
@@ -462,48 +408,35 @@ def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
     interpolant at quadrature points.  Symmetric positive semidefinite.
     """
     w_q = scalar_at_quadrature(spaces, w_h)
-    gam = model.viscosity(w_q)
-
-    def worker(lo, hi):
-        rot, div = _vector_rot_div(spaces, lo, hi)
-        w = spaces.quad_w[lo:hi] * gam[lo:hi]
-        # one quadrature point at a time keeps temporaries at (m, 12, 12)
-        loc = np.zeros((hi - lo, 12, 12))
-        for q in range(w.shape[1]):
-            loc += w[:, q, None, None] * (_sym_outer(rot[:, q])
-                                          + _sym_outer(div[:, q]))
-        return loc
-
+    w = spaces.quad_w * model.viscosity(w_q)
+    rot, div = _vector_rot_div(spaces)
+    # one quadrature point at a time keeps temporaries at (nt, 12, 12)
+    loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
+    for q in range(w.shape[1]):
+        loc += w[:, q, None, None] * (_sym_outer(rot[:, q])
+                                      + _sym_outer(div[:, q]))
     n = spaces.velocity_dim
-    return _gather(spaces, worker, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+    return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
 
 
 def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
                                    w_h: FieldVector) -> sp.csr_matrix:
     """Conductivity-weighted stiffness sum_j (k(w_h) d_j mu d_j nu)."""
     w_q = scalar_at_quadrature(spaces, w_h)
-    k = model.conductivity(w_q)
-
-    def worker(lo, hi):
-        w = (spaces.quad_w[lo:hi] * k[lo:hi]).sum(axis=1)
-        g = spaces.p1_grad[lo:hi]                        # (m, 3, 2)
-        outer = g[:, :, None, :] * g[:, None, :, :]      # (m, 3, 3, 2)
-        return np.einsum("t,tabd->tab", w, outer)
-
+    w = (spaces.quad_w * model.conductivity(w_q)).sum(axis=1)
+    g = spaces.p1_grad                                   # (nt, 3, 2)
+    outer = g[:, :, None, :] * g[:, None, :, :]          # (nt, 3, 3, 2)
     n = spaces.temperature_dim
     t = spaces.mesh.triangles
-    return _gather(spaces, worker, t, t, (n, n))
+    return _scatter(np.einsum("t,tabd->tab", w, outer), t, t, (n, n))
 
 
 def assemble_divergence_constraint(spaces: FunctionSpaces) -> sp.csr_matrix:
     """Matrix D with D[k, j] = integral(q_k div phi_j); rows are head dofs."""
-    def worker(lo, hi):
-        _, div = _vector_rot_div(spaces, lo, hi)
-        w = spaces.quad_w[lo:hi]
-        return np.einsum("tq,qk,tqj->tkj", w, spaces.p1_at_q, div)
-
-    return _gather(spaces, worker, spaces.mesh.triangles, spaces.vel_dofs,
-                   (spaces.head_dim, spaces.velocity_dim))
+    _, div = _vector_rot_div(spaces)
+    loc = np.einsum("tq,qk,tqj->tkj", spaces.quad_w, spaces.p1_at_q, div)
+    return _scatter(loc, spaces.mesh.triangles, spaces.vel_dofs,
+                    (spaces.head_dim, spaces.velocity_dim))
 
 
 def assemble_velocity_advection(spaces: FunctionSpaces,
@@ -513,19 +446,13 @@ def assemble_velocity_advection(spaces: FunctionSpaces,
     The integrand is pointwise antisymmetric in (i, j), so the assembled
     matrix is exactly skew-symmetric.
     """
-    om = rot_at_quadrature(spaces, z_h)
-    outer = _sym_outer(spaces.p2_at_q)                   # (nq, 6, 6)
-
-    def worker(lo, hi):
-        w = spaces.quad_w[lo:hi] * om[lo:hi]
-        s = np.einsum("tq,qab->tab", w, outer)           # bit-symmetric block
-        loc = np.zeros((hi - lo, 12, 12))
-        loc[:, 1::2, 0::2] = s      # (z-hat x e_x) . e_y = +1
-        loc[:, 0::2, 1::2] = -s     # (z-hat x e_y) . e_x = -1
-        return loc
-
+    w = spaces.quad_w * rot_at_quadrature(spaces, z_h)
+    s = np.einsum("tq,qab->tab", w, _sym_outer(spaces.p2_at_q))  # bit-symmetric
+    loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
+    loc[:, 1::2, 0::2] = s      # (z-hat x e_x) . e_y = +1
+    loc[:, 0::2, 1::2] = -s     # (z-hat x e_y) . e_x = -1
     n = spaces.velocity_dim
-    return _gather(spaces, worker, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+    return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
 
 
 def assemble_temperature_advection(spaces: FunctionSpaces,
@@ -536,20 +463,12 @@ def assemble_temperature_advection(spaces: FunctionSpaces,
             - 1/2 integral((z_h . grad mu_i) mu_j).
     """
     z_q = velocity_at_quadrature(spaces, z_h)
-
-    def worker(lo, hi):
-        w = spaces.quad_w[lo:hi]
-        zg = np.einsum("tqd,tad->tqa", z_q[lo:hi], spaces.p1_grad[lo:hi])
-        return np.einsum("tq,qi,tqj->tij", w, spaces.p1_at_q, zg)
-
+    zg = np.einsum("tqd,tad->tqa", z_q, spaces.p1_grad)
+    loc = np.einsum("tq,qi,tqj->tij", spaces.quad_w, spaces.p1_at_q, zg)
     n = spaces.temperature_dim
     t = spaces.mesh.triangles
-    one_sided = _gather(spaces, worker, t, t, (n, n))
-    skew = 0.5 * (one_sided - one_sided.T.tocsr())
-    skew = skew.tocsr()
-    skew.sum_duplicates()
-    skew.sort_indices()
-    return skew
+    one_sided = _scatter(loc, t, t, (n, n))
+    return 0.5 * (one_sided - one_sided.T.tocsr())
 
 
 def assemble_buoyancy(spaces: FunctionSpaces, beta: float, g) -> sp.csr_matrix:
@@ -564,16 +483,13 @@ def assemble_buoyancy(spaces: FunctionSpaces, beta: float, g) -> sp.csr_matrix:
     if not np.all(np.isfinite(g_q)):
         raise ValueError("non-finite gravity values at quadrature points")
 
-    def worker(lo, hi):
-        w = spaces.quad_w[lo:hi] * beta
-        loc = np.zeros((hi - lo, 12, 3))
-        for c in (0, 1):
-            loc[:, c::2, :] = np.einsum("tq,qi,qj->tij", w * g_q[lo:hi, :, c],
-                                        spaces.p2_at_q, spaces.p1_at_q)
-        return loc
-
-    return _gather(spaces, worker, spaces.vel_dofs, spaces.mesh.triangles,
-                   (spaces.velocity_dim, spaces.temperature_dim))
+    w = spaces.quad_w * beta
+    loc = np.zeros((spaces.mesh.num_triangles, 12, 3))
+    for c in (0, 1):
+        loc[:, c::2, :] = np.einsum("tq,qi,qj->tij", w * g_q[..., c],
+                                    spaces.p2_at_q, spaces.p1_at_q)
+    return _scatter(loc, spaces.vel_dofs, spaces.mesh.triangles,
+                    (spaces.velocity_dim, spaces.temperature_dim))
 
 
 def _check_pointwise(vals, where, what):
@@ -641,37 +557,27 @@ def assemble_temperature_load(spaces: FunctionSpaces, f2, v2, t: float) -> np.nd
 
 def assemble_velocity_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
     """Full H1 inner product (values plus all first derivatives)."""
-    outer_m = _sym_outer(spaces.p2_at_q)
-
-    def worker(lo, hi):
-        w = spaces.quad_w[lo:hi]
-        m6 = np.einsum("tq,qab->tab", w, outer_m)
-        g = spaces.p2_grad_at_q[lo:hi]                   # (m, nq, 6, 2)
-        outer_k = g[:, :, :, None, :] * g[:, :, None, :, :]
-        k6 = np.einsum("tq,tqabd->tab", w, outer_k)
-        loc = np.zeros((hi - lo, 12, 12))
-        loc[:, 0::2, 0::2] = m6 + k6
-        loc[:, 1::2, 1::2] = m6 + k6
-        return loc
-
+    w = spaces.quad_w
+    m6 = np.einsum("tq,qab->tab", w, _sym_outer(spaces.p2_at_q))
+    g = spaces.p2_grad_at_q                              # (nt, nq, 6, 2)
+    outer_k = g[:, :, :, None, :] * g[:, :, None, :, :]
+    k6 = np.einsum("tq,tqabd->tab", w, outer_k)
+    loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
+    loc[:, 0::2, 0::2] = m6 + k6
+    loc[:, 1::2, 1::2] = m6 + k6
     n = spaces.velocity_dim
-    return _gather(spaces, worker, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+    return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
 
 
 def assemble_temperature_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
-    outer_m = _sym_outer(spaces.p1_at_q)
-
-    def worker(lo, hi):
-        w = spaces.quad_w[lo:hi]
-        m3 = np.einsum("tq,qab->tab", w, outer_m)
-        g = spaces.p1_grad[lo:hi]
-        outer_k = g[:, :, None, :] * g[:, None, :, :]
-        k3 = np.einsum("t,tabd->tab", w.sum(axis=1), outer_k)
-        return m3 + k3
-
+    w = spaces.quad_w
+    m3 = np.einsum("tq,qab->tab", w, _sym_outer(spaces.p1_at_q))
+    g = spaces.p1_grad
+    outer_k = g[:, :, None, :] * g[:, None, :, :]
+    k3 = np.einsum("t,tabd->tab", w.sum(axis=1), outer_k)
     n = spaces.temperature_dim
     t = spaces.mesh.triangles
-    return _gather(spaces, worker, t, t, (n, n))
+    return _scatter(m3 + k3, t, t, (n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Exit codes, config validation, and on-disk artifact formats."""
 
 import json
-import os
 
 import numpy as np
 import pytest

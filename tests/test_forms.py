@@ -121,6 +121,39 @@ def test_div_and_rot_free_linear_field(spaces_2x2):
 
 
 # ---------------------------------------------------------------------------
+# storage format shared by every assembled operator
+
+
+_TANH_MODEL = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.9, 1.1))
+
+_ASSEMBLERS = {
+    "mass_velocity": lambda s, rng: forms.assemble_mass(s, "velocity"),
+    "mass_temperature": lambda s, rng: forms.assemble_mass(s, "temperature"),
+    "velocity_diffusion": lambda s, rng: forms.assemble_velocity_diffusion(
+        s, _TANH_MODEL, _random_field(s, "temperature", rng)),
+    "temperature_diffusion": lambda s, rng: forms.assemble_temperature_diffusion(
+        s, _TANH_MODEL, _random_field(s, "temperature", rng)),
+    "divergence_constraint": lambda s, rng: forms.assemble_divergence_constraint(s),
+    "velocity_advection": lambda s, rng: forms.assemble_velocity_advection(
+        s, _random_field(s, "velocity", rng)),
+    "temperature_advection": lambda s, rng: forms.assemble_temperature_advection(
+        s, _random_field(s, "velocity", rng)),
+    "buoyancy": lambda s, rng: forms.assemble_buoyancy(
+        s, 0.7, lambda x: np.broadcast_to(np.array([0.0, -1.0]), x.shape)),
+    "velocity_h1_gram": lambda s, rng: forms.assemble_velocity_h1_gram(s),
+    "temperature_h1_gram": lambda s, rng: forms.assemble_temperature_h1_gram(s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ASSEMBLERS))
+def test_assembled_operator_is_canonical_csr(spaces_4x4, rng, name):
+    # sorted indices and no duplicate entries, straight from assembly
+    mat = _ASSEMBLERS[name](spaces_4x4, rng)
+    assert mat.format == "csr"
+    assert mat.has_canonical_format
+
+
+# ---------------------------------------------------------------------------
 # mass matrices
 
 

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
 from bgs import forms, oracles
-from bgs.forms import FieldVector
 from bgs.solver import (
     Diagnostics,
     ProblemData,
