@@ -444,7 +444,8 @@ def _cmd_mms(cfg, seed: int) -> int:
         model, levels=levels, dt=float(cfg["time"]["dt"]),
         t_end=float(cfg["time"]["t_end"]), beta=float(cfg["physics"]["beta"]),
         g=_gravity_value(cfg), base_n=int(cfg["study"]["base_n"]),
-        gamma1_sides=tuple(cfg["mesh"]["gamma1_sides"]))
+        gamma1_sides=tuple(cfg["mesh"]["gamma1_sides"]),
+        buoyancy_sign=float(cfg["physics"]["buoyancy_sign_flag"]))
 
     outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bgs import cli
+from bgs import cli, oracles
 
 
 def write_config(path, **overrides):
@@ -256,6 +256,24 @@ def test_contract_seed_changes_direction_not_verdict(tmp_path):
     assert cli.main(["contract", "--config", str(cfg), "--seed", "7"]) == 0
     second = (tmp_path / "out" / "report_contract.csv").read_bytes()
     assert first != second  # different perturbation direction
+
+
+def test_mms_passes_buoyancy_sign_flag(tmp_path, monkeypatch):
+    signs = []
+    make = oracles.make_mms_problem
+
+    def spy(*args, **kwargs):
+        problem = make(*args, **kwargs)
+        signs.append(problem.buoyancy_sign)
+        return problem
+
+    monkeypatch.setattr(oracles, "make_mms_problem", spy)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, physics={"buoyancy_sign_flag": -1},
+                 study={"levels": 3, "base_n": 2},
+                 time={"dt": 0.05, "t_end": 0.1})
+    assert cli.main(["mms", "--config", str(cfg)]) in (0, 4)
+    assert signs == [-1.0]
 
 
 def test_mms_small_study_reports_failures_as_exit_4(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Manufactured-solution data, study drivers, and the form audit."""
 
+import functools
+
 import numpy as np
 import pytest
 import sympy as sym
@@ -8,6 +10,8 @@ from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
 from bgs import forms, oracles
 from bgs.solver import SolverConfig
+
+from helpers_stencil import nested_forcings
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,142 @@ def test_stencil_forcings_match_symbolic_tanh_coefficients():
     ref2 = sf2(pts[:, 0], pts[:, 1], t)
     assert np.max(np.abs(f1 - ref1)) < 1e-6
     assert np.max(np.abs(f2 - ref2)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# tabulated forcing against the nested-stencil reference and sympy
+
+
+def _g_varying(points):
+    x, y = points[..., 0], points[..., 1]
+    return np.stack([np.sin(np.pi * x) * y, -1.0 - x * y], axis=-1)
+
+
+def _g_varying_sym():
+    x, y = sym.symbols("x y", real=True)
+    return (sym.sin(sym.pi * x) * y, -1 - x * y)
+
+
+def _tanh_model():
+    return CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+
+
+# model, gravity and sign of each case, numeric and symbolic
+_FORCING_CASES = {
+    "constant-down-plus": (
+        lambda: constant_model(1.5, 0.8),
+        lambda w: sym.Rational(3, 2), lambda w: sym.Rational(4, 5),
+        (0.0, -1.0), lambda: (0.0, -1.0), 1.0),
+    "constant-varying-minus": (
+        lambda: constant_model(1.5, 0.8),
+        lambda w: sym.Rational(3, 2), lambda w: sym.Rational(4, 5),
+        _g_varying, _g_varying_sym, -1.0),
+    "tanh-down-minus": (
+        _tanh_model,
+        lambda w: sym.Rational(1, 2) + sym.Rational(3, 2) * (1 + sym.tanh(w)) / 2,
+        lambda w: sym.Rational(7, 10) + sym.Rational(3, 5) * (1 + sym.tanh(w)) / 2,
+        (0.0, -1.0), lambda: (0.0, -1.0), -1.0),
+    "tanh-varying-plus": (
+        _tanh_model,
+        lambda w: sym.Rational(1, 2) + sym.Rational(3, 2) * (1 + sym.tanh(w)) / 2,
+        lambda w: sym.Rational(7, 10) + sym.Rational(3, 5) * (1 + sym.tanh(w)) / 2,
+        _g_varying, _g_varying_sym, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _quad_points(n):
+    return build_spaces(build_rectangle_mesh(n, n, ("left",))).quad_x
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_case(name):
+    _, gam, kk, _, g_sym, sign = _FORCING_CASES[name]
+    return _symbolic_forcings(gam, kk, 0.5, g_sym(), sign)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("case", sorted(_FORCING_CASES))
+def test_tabulated_forcing_matches_nested_stencil_and_symbolic(case, n):
+    make_model, _, _, g, _, sign = _FORCING_CASES[case]
+    model = make_model()
+    problem = oracles.make_mms_problem(model, beta=0.5, g=g,
+                                       buoyancy_sign=sign)
+    ref_f1, ref_f2 = nested_forcings(model, beta=0.5, g=g, buoyancy_sign=sign)
+    s1, s2, sf2 = _symbolic_case(case)
+    pts = _quad_points(n)
+    x, y = pts[..., 0], pts[..., 1]
+    for t in (0.0, 1e-3, 0.02, 0.1, 0.3):
+        tab = (problem.f1(pts, t), problem.f2(pts, t))
+        ref = (ref_f1(pts, t), ref_f2(pts, t))
+        exact = (np.stack([s1(x, y, t), s2(x, y, t)], axis=-1), sf2(x, y, t))
+        for got, want, label in ((tab, ref, "nested"), (tab, exact, "sympy"),
+                                 (ref, exact, "nested vs sympy")):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                err = np.max(np.abs(a - b))
+                assert err < 1e-8, f"{label} at t={t}: {err:.3e}"
+
+
+def test_exact_fields_separate_in_time():
+    # the stencil tables are taken at t=0 and scaled by exp(-t): a term
+    # that is not a spatial field times exp(-t) must fail here
+    rng = np.random.default_rng(3)
+    for dtype in (float, np.longdouble):
+        pts = rng.uniform(0.0, 1.0, size=(50, 2)).astype(dtype)
+        for fn in (oracles.exact_velocity, oracles.exact_temperature,
+                   oracles.exact_head):
+            base = fn(pts, 0.0)
+            for t in (1e-3, 0.02, 0.1, 0.3, 1.0):
+                decay = np.exp(np.asarray(-t, dtype=dtype))
+                np.testing.assert_allclose(fn(pts, t), decay * base,
+                                           rtol=1e-15, atol=0.0)
+
+
+def _assert_matches_nested(problem, ref, pts, t):
+    for got, want in ((problem.f1(pts, t), ref[0](pts, t)),
+                      (problem.f2(pts, t), ref[1](pts, t))):
+        assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_stencil_table_follows_point_content():
+    model = _tanh_model()
+    problem = oracles.make_mms_problem(model, beta=0.5)
+    ref = nested_forcings(model, beta=0.5)
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.1, 0.9, size=(6, 7, 2))
+    b = rng.uniform(0.1, 0.9, size=(6, 7, 2))
+    assert not np.allclose(problem.f1(a, 0.05), problem.f1(b, 0.05))
+    _assert_matches_nested(problem, ref, a, 0.05)
+    _assert_matches_nested(problem, ref, b, 0.05)
+
+    # an in-place change of the caller's array is a new point set
+    before = problem.f2(a, 0.1)
+    a[..., 0] = 1.0 - a[..., 0]
+    assert not np.allclose(problem.f2(a, 0.1), before)
+    _assert_matches_nested(problem, ref, a, 0.1)
+
+
+def test_stencil_table_is_read_only_and_shared():
+    pts = np.random.default_rng(9).uniform(0.1, 0.9, size=(5, 2))
+    oracles.make_mms_problem(constant_model(1.0, 1.0)).f1(pts, 0.0)
+    table = oracles._stencil_table(pts.copy())
+    # the table does not depend on the model: a second problem reuses it
+    oracles.make_mms_problem(_tanh_model()).f2(pts, 0.2)
+    assert oracles._stencil_table(pts) is table
+    for arr in table:
+        assert arr.dtype == np.longdouble
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        table.w_s[...] = 0.0
+
+
+def test_stencil_table_cache_is_bounded():
+    problem = oracles.make_mms_problem(constant_model(1.0, 1.0))
+    rng = np.random.default_rng(13)
+    for _ in range(3 * oracles._TABLE_CACHE_SIZE):
+        problem.f1(rng.uniform(0.1, 0.9, size=(3, 2)), 0.0)
+    assert len(oracles._TABLES) == oracles._TABLE_CACHE_SIZE
 
 
 def test_flux_datum_closes_weak_identity(spaces_4x4):
