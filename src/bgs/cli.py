@@ -54,7 +54,6 @@ def _default_config() -> dict:
         "data": {"problem": "zero"},
         "time": {"dt": 0.01, "t_end": 0.1},
         "solver": {"picard_max": 25, "picard_tol": 1e-10,
-                   "picard_enabled": True,
                    "constants": {"c1": 1.0, "c1_prime": 1.0, "d": 1.0}},
         "output": {"directory": ".", "vtk_every": 0,
                    "csv_name": "diagnostics.csv"},
@@ -203,11 +202,9 @@ def validate_config(raw) -> dict:
 
     solv = raw.get("solver", {})
     if chk.section(solv, "solver",
-                   {"picard_max", "picard_tol", "picard_enabled", "constants"}):
+                   {"picard_max", "picard_tol", "constants"}):
         chk.number(solv, "solver", "picard_max", lo=1, integer=True)
         chk.number(solv, "solver", "picard_tol", lo=0.0, strict_lo=True)
-        if "picard_enabled" in solv and not isinstance(solv["picard_enabled"], bool):
-            chk.fail("solver.picard_enabled", "must be true or false")
         cst = solv.get("constants")
         if cst is not None and cst != "estimate":
             if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
@@ -224,7 +221,7 @@ def validate_config(raw) -> dict:
 
     study = raw.get("study", {})
     if chk.section(study, "study", {"levels", "base_n", "delta"}):
-        chk.number(study, "study", "levels", lo=1, integer=True)
+        chk.number(study, "study", "levels", lo=3, integer=True)
         chk.number(study, "study", "base_n", lo=1, integer=True)
         chk.number(study, "study", "delta", lo=0.0)
 
@@ -326,7 +323,6 @@ def build_solver_config(cfg, constants) -> solver.SolverConfig:
         dt=float(cfg["time"]["dt"]), t_end=float(cfg["time"]["t_end"]),
         picard_max=int(scfg["picard_max"]),
         picard_tol=float(scfg["picard_tol"]),
-        picard_enabled=bool(scfg["picard_enabled"]),
         constants_for_re_ra=constants)
 
 
@@ -436,13 +432,11 @@ def _cmd_run(cfg, seed: int) -> int:
 
 
 def _cmd_mms(cfg, seed: int) -> int:
-    levels = int(cfg["study"]["levels"])
-    if levels < 3:
-        raise ConfigError("study.levels: need at least 3 levels")
     model = build_model(cfg)
     report = oracles.convergence_study(
-        model, levels=levels, dt=float(cfg["time"]["dt"]),
-        t_end=float(cfg["time"]["t_end"]), beta=float(cfg["physics"]["beta"]),
+        model, levels=int(cfg["study"]["levels"]),
+        dt=float(cfg["time"]["dt"]), t_end=float(cfg["time"]["t_end"]),
+        beta=float(cfg["physics"]["beta"]),
         g=_gravity_value(cfg), base_n=int(cfg["study"]["base_n"]),
         gamma1_sides=tuple(cfg["mesh"]["gamma1_sides"]),
         buoyancy_sign=float(cfg["physics"]["buoyancy_sign_flag"]))
@@ -471,14 +465,12 @@ def _cmd_mms(cfg, seed: int) -> int:
 
 
 def _cmd_cauchy(cfg, seed: int) -> int:
-    levels = int(cfg["study"]["levels"])
-    if levels < 3:
-        raise ConfigError("study.levels: need at least 3 levels")
     model = build_model(cfg)
     problem = build_problem(cfg, model)
     report = oracles.cauchy_study(
-        problem, levels=levels, dt=float(cfg["time"]["dt"]),
-        t_end=float(cfg["time"]["t_end"]), base_n=int(cfg["study"]["base_n"]),
+        problem, levels=int(cfg["study"]["levels"]),
+        dt=float(cfg["time"]["dt"]), t_end=float(cfg["time"]["t_end"]),
+        base_n=int(cfg["study"]["base_n"]),
         gamma1_sides=tuple(cfg["mesh"]["gamma1_sides"]))
 
     outdir = cfg["output"]["directory"]
@@ -520,13 +512,9 @@ def _cmd_contract(cfg, seed: int) -> int:
         rows.append([t, report.distance[i], report.gronwall_bound[i],
                      report.growth[i - 1] if i else None,
                      report.re_plus_ra[i - 1] if i else None])
-    path = os.path.join(outdir, "report_contract.csv")
-    lines = [f"# {report.header}",
-             "t,distance,gronwall_bound,growth,re_plus_ra"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if v is not None else "" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(os.path.join(outdir, "report_contract.csv"),
+                f"# {report.header}\n"
+                "t,distance,gronwall_bound,growth,re_plus_ra", rows)
 
     print(f"contract: D(0)={report.distance[0]:.6e} "
           f"D(end)={report.distance[-1]:.6e} monotone={report.monotone} "

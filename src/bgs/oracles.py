@@ -44,50 +44,35 @@ _H = np.longdouble(FD_STEP)
 _OFFSETS = (2, 1, -1, -2)        # multiples of h, in the order _combine reads them
 
 
-def _shifted(p, axis: int, hh):
+def _shifted(p, axis: int):
     """Copies of the longdouble points p moved by 2h, h, -h, -2h along axis."""
     out = []
     for k in _OFFSETS:
         q = p.copy()
-        q[..., axis] += k * hh
+        q[..., axis] += k * _H
         out.append(q)
     return out
 
 
-def _combine(v, hh):
+def _combine(v):
     """4th-order central difference from the values at 2h, h, -h, -2h."""
-    return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * hh)
+    return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * _H)
 
 
-def _fd_axis(fn, points, axis: int, h: float = FD_STEP) -> np.ndarray:
+def _fd_axis(fn, points, axis: int) -> np.ndarray:
     """4th-order central d/dx_axis of fn(points); longdouble throughout."""
     p = np.asarray(points, dtype=np.longdouble)
-    hh = np.longdouble(h)
     return _combine([np.asarray(fn(q), dtype=np.longdouble)
-                     for q in _shifted(p, axis, hh)], hh)
+                     for q in _shifted(p, axis)])
 
 
-def fd_gradient(fn, points, h: float = FD_STEP) -> np.ndarray:
+def fd_gradient(fn, points) -> np.ndarray:
     """Spatial gradient of a scalar function, stacked on the last axis."""
-    return np.stack([_fd_axis(fn, points, 0, h),
-                     _fd_axis(fn, points, 1, h)], axis=-1)
-
-
-def _fd_time(fn, points, t: float, h: float = FD_STEP) -> np.ndarray:
-    p = np.asarray(points, dtype=np.longdouble)
-    tt, hh = np.longdouble(t), np.longdouble(h)
-    return _combine([np.asarray(fn(p, tt + k * hh), dtype=np.longdouble)
-                     for k in _OFFSETS], hh)
+    return np.stack([_fd_axis(fn, points, 0), _fd_axis(fn, points, 1)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # exact manufactured fields
-
-
-def exact_stream(points, t):
-    x, y = points[..., 0], points[..., 1]
-    decay = np.exp(np.asarray(-t, dtype=x.dtype))
-    return x ** 2 * (1 - x) ** 2 * np.sin(np.pi * y) ** 2 * decay
 
 
 def exact_velocity(points, t):
@@ -181,7 +166,7 @@ def _build_table(p) -> _StencilTable:
     def w0(q):
         return exact_temperature(q, 0.0)
 
-    shifted = [_shifted(p, axis, _H) for axis in (0, 1)]
+    shifted = [_shifted(p, axis) for axis in (0, 1)]
 
     def at_shifts(fn):
         return np.stack([np.stack([fn(q, axis) for q in shifted[axis]])
@@ -215,9 +200,9 @@ def _stencil_table(points) -> _StencilTable:
 
 
 def _decay(t):
-    """exp(-t) and its _fd_time derivative, in longdouble."""
-    return (np.exp(-np.longdouble(t)),
-            _fd_time(lambda _, s: np.exp(-s), 0.0, t))
+    """exp(-t) and its stencil time derivative, in longdouble."""
+    tt = np.longdouble(t)
+    return np.exp(-tt), _combine([np.exp(-(tt + k * _H)) for k in _OFFSETS])
 
 
 def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
@@ -239,8 +224,7 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         tab = _stencil_table(points)
         e, e_t = _decay(t)
         stress = coeff_model.viscosity(e * tab.w_s) * (e * tab.rot_s)
-        rot_m = np.stack([_combine(stress[1], _H),
-                          -_combine(stress[0], _H)], axis=-1)
+        rot_m = np.stack([_combine(stress[1]), -_combine(stress[0])], axis=-1)
         om, z = e * tab.rot, e * tab.z
         adv = np.stack([-om * z[..., 1], om * z[..., 0]], axis=-1)
         buoy = (buoyancy_sign * beta) * (e * tab.w)[..., None] \
@@ -252,7 +236,7 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         tab = _stencil_table(points)
         e, e_t = _decay(t)
         flux = coeff_model.conductivity(e * tab.w_s) * (e * tab.dw_s)
-        div_flux = _combine(flux[0], _H) + _combine(flux[1], _H)
+        div_flux = _combine(flux[0]) + _combine(flux[1])
         adv = ((e * tab.z) * (e * tab.grad_w)).sum(axis=-1)
         return np.asarray(e_t * tab.w - div_flux + adv, dtype=float)
 
@@ -276,6 +260,46 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         z0=lambda pts: np.asarray(exact_velocity(pts, 0.0), dtype=float),
         w0=lambda pts: np.asarray(exact_temperature(pts, 0.0), dtype=float),
         buoyancy_sign=float(buoyancy_sign), name="mms")
+
+
+# ---------------------------------------------------------------------------
+# refinement runs: one trajectory per nested mesh, read by both studies
+
+
+@dataclass(frozen=True)
+class LevelRun:
+    n: int
+    spaces: FunctionSpaces
+    states: tuple                # State at t=0, dt, ..., t_end
+    wall_clock: float            # build_spaces plus run
+
+
+@dataclass(frozen=True)
+class RefinementRuns:
+    levels: tuple                # LevelRun per level, coarsest first
+    config: SolverConfig         # dt and t_end of every level
+
+
+def refinement_runs(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
+                    t_end: float = 0.1, base_n: int = 4,
+                    gamma1_sides=("left",)) -> RefinementRuns:
+    """Integrate problem on the nested n = base_n * 2**k meshes, k < levels."""
+    if levels < 3:
+        raise ValueError("refinement study needs at least 3 levels")
+    config = SolverConfig(dt=dt, t_end=t_end)
+    results = []
+    for k in range(levels):
+        n = base_n * 2 ** k
+        tic = time.perf_counter()
+        spaces = forms.build_spaces(
+            build_rectangle_mesh(n, n, gamma1_sides=gamma1_sides))
+        try:
+            states, _ = run(spaces, problem, config)
+        except Exception as exc:
+            raise type(exc)(f"level {k} (n={n}): {exc}") from exc
+        results.append(LevelRun(n=n, spaces=spaces, states=tuple(states),
+                                wall_clock=time.perf_counter() - tic))
+    return RefinementRuns(levels=tuple(results), config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -308,28 +332,11 @@ def _rates(errors) -> list:
     return [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
 
 
-def convergence_study(coeff_model: CoefficientModel, levels: int = 3,
-                      dt: float = 1e-3, t_end: float = 0.1,
-                      beta: float = 0.5, g=(0.0, -1.0), base_n: int = 4,
-                      gamma1_sides=("left",),
-                      buoyancy_sign: float = 1.0) -> StudyReport:
-    """Final-time errors of the manufactured problem on nested meshes."""
-    if levels < 3:
-        raise ValueError("convergence study needs at least 3 levels")
-    problem = make_mms_problem(coeff_model, beta=beta, g=g,
-                               buoyancy_sign=buoyancy_sign)
+def convergence_report(runs: RefinementRuns) -> StudyReport:
+    """Final-time errors against the manufactured fields, and their rates."""
     results = []
-    for k in range(levels):
-        n = base_n * 2 ** k
-        tic = time.perf_counter()
-        spaces = forms.build_spaces(
-            build_rectangle_mesh(n, n, gamma1_sides=gamma1_sides))
-        config = SolverConfig(dt=dt, t_end=t_end)
-        try:
-            states, _ = run(spaces, problem, config)
-        except Exception as exc:
-            raise type(exc)(f"level {k} (n={n}): {exc}") from exc
-        final = states[-1]
+    for lv in runs.levels:
+        spaces, final = lv.spaces, lv.states[-1]
         errors = {
             "velocity_l2": forms.velocity_l2_error(
                 spaces, final.z, exact_velocity, final.t),
@@ -340,8 +347,8 @@ def convergence_study(coeff_model: CoefficientModel, levels: int = 3,
             "head_l2": forms.scalar_l2_error(
                 spaces, final.P, exact_head, final.t),
         }
-        results.append(StudyLevel(n=n, h=1.0 / n, errors=errors,
-                                  wall_clock=time.perf_counter() - tic))
+        results.append(StudyLevel(n=lv.n, h=1.0 / lv.n, errors=errors,
+                                  wall_clock=lv.wall_clock))
 
     rates = {key: _rates([lv.errors[key] for lv in results])
              for key in RATE_TARGETS}
@@ -355,7 +362,19 @@ def convergence_study(coeff_model: CoefficientModel, levels: int = 3,
                             f"< target {target}")
     return StudyReport(levels=tuple(results), rates=rates,
                        targets=dict(RATE_TARGETS), failures=tuple(failures),
-                       dt=dt, t_end=t_end)
+                       dt=runs.config.dt, t_end=runs.config.t_end)
+
+
+def convergence_study(coeff_model: CoefficientModel, levels: int = 3,
+                      dt: float = 1e-3, t_end: float = 0.1,
+                      beta: float = 0.5, g=(0.0, -1.0), base_n: int = 4,
+                      gamma1_sides=("left",),
+                      buoyancy_sign: float = 1.0) -> StudyReport:
+    """Final-time errors of the manufactured problem on nested meshes."""
+    problem = make_mms_problem(coeff_model, beta=beta, g=g,
+                               buoyancy_sign=buoyancy_sign)
+    return convergence_report(refinement_runs(problem, levels, dt, t_end,
+                                              base_n, gamma1_sides))
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +414,14 @@ def _trapezoid_sq(values, dt: float) -> float:
     return float(np.sqrt(np.sum(weights * np.asarray(values) ** 2)))
 
 
-def cauchy_study(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
-                 t_end: float = 0.1, base_n: int = 4,
-                 gamma1_sides=("left",), dual_path: bool = False) -> CauchyReport:
+def cauchy_report(runs: RefinementRuns, dual_path: bool = False) -> CauchyReport:
     """Time-integrated L2 distance between consecutive refinement levels."""
-    if levels < 3:
-        raise ValueError("cauchy study needs at least 3 levels")
-    config = SolverConfig(dt=dt, t_end=t_end)
-    spaces_per_level = []
-    states_per_level = []
-    for k in range(levels):
-        n = base_n * 2 ** k
-        spaces = forms.build_spaces(
-            build_rectangle_mesh(n, n, gamma1_sides=gamma1_sides))
-        try:
-            states, _ = run(spaces, problem, config)
-        except Exception as exc:
-            raise type(exc)(f"level {k} (n={n}): {exc}") from exc
-        spaces_per_level.append(spaces)
-        states_per_level.append(states)
-
     e_vel, e_tmp, pairs = [], [], []
     worst_gap = 0.0
-    for k in range(levels - 1):
-        coarse, fine = spaces_per_level[k], spaces_per_level[k + 1]
+    for lc, lf in zip(runs.levels, runs.levels[1:]):
+        coarse, fine = lc.spaces, lf.spaces
         dz, dw = [], []
-        for sc, sf in zip(states_per_level[k], states_per_level[k + 1]):
+        for sc, sf in zip(lc.states, lf.states):
             z_up, w_up = _interp_up(coarse, fine, sc)
             dz_vec = FieldVector("velocity", sf.z.values - z_up.values)
             dw_vec = FieldVector("temperature", sf.w.values - w_up.values)
@@ -429,8 +430,8 @@ def cauchy_study(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
             if dual_path:
                 gap = _dual_path_gap(coarse, fine, sc, sf, dz[-1], dw[-1])
                 worst_gap = max(worst_gap, gap)
-        e_vel.append(_trapezoid_sq(dz, dt))
-        e_tmp.append(_trapezoid_sq(dw, dt))
+        e_vel.append(_trapezoid_sq(dz, runs.config.dt))
+        e_tmp.append(_trapezoid_sq(dw, runs.config.dt))
         pairs.append((coarse.mesh.num_vertices, fine.mesh.num_vertices))
 
     ratios_v = [e_vel[k + 1] / e_vel[k] for k in range(len(e_vel) - 1)]
@@ -446,6 +447,14 @@ def cauchy_study(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
                         ratios_temperature=tuple(ratios_t),
                         dual_path_gap=worst_gap if dual_path else None,
                         failures=tuple(failures))
+
+
+def cauchy_study(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
+                 t_end: float = 0.1, base_n: int = 4,
+                 gamma1_sides=("left",), dual_path: bool = False) -> CauchyReport:
+    """Time-integrated L2 distance between consecutive refinement levels."""
+    return cauchy_report(refinement_runs(problem, levels, dt, t_end, base_n,
+                                         gamma1_sides), dual_path=dual_path)
 
 
 def _dual_path_gap(coarse, fine, state_c, state_f, dz_ref, dw_ref) -> float:

@@ -104,7 +104,6 @@ class SolverConfig:
     t_end: float
     picard_max: int = 25
     picard_tol: float = 1e-10
-    picard_enabled: bool = True
     constants_for_re_ra: dict = field(default_factory=lambda: dict(DEFAULT_CONSTANTS))
 
     def __post_init__(self):
@@ -311,12 +310,10 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
         else:
             rel = None
         z_new, w_new, p_new = z_next, w_next, p_next
-        if not config.picard_enabled:
-            break
         if rel is not None and rel < config.picard_tol:
             break
         if passes >= config.picard_max:
-            if rel is not None and rel >= config.picard_tol and config.picard_max > 1:
+            if rel is not None and rel >= config.picard_tol:
                 converged = False
                 warnings.warn(f"Picard loop stopped at {passes} passes with "
                               f"relative increment {rel:.3e}", RuntimeWarning)

@@ -4,6 +4,7 @@ Each test emits a single verdict line outside the capture machinery so
 the eight outcomes are visible in a plain ``pytest -v`` run.
 """
 
+import functools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import bgs
 from bgs import build_rectangle_mesh, build_spaces
@@ -128,14 +130,29 @@ def test_criterion_2_energy_decay_and_buoyant_bound(capfd):
 
 
 # ---------------------------------------------------------------------------
+# 3 and 4 read the same refinement trajectories
+
+
+@pytest.fixture(scope="module")
+def mms_runs():
+    """The manufactured problem on meshes 4/8/16, integrated at most once.
+
+    The run starts inside the first test that calls it, so a failure
+    still reaches that test's verdict line.
+    """
+    return functools.cache(lambda: oracles.refinement_runs(
+        oracles.make_mms_problem(TANH_MODEL), levels=3, dt=1e-3, t_end=0.1,
+        base_n=4))
+
+
+# ---------------------------------------------------------------------------
 # 3: manufactured-solution convergence rates
 
 
-def test_criterion_3_mms_convergence_rates(capfd):
+def test_criterion_3_mms_convergence_rates(capfd, mms_runs):
     ok = False
     try:
-        report = oracles.convergence_study(TANH_MODEL, levels=3, dt=1e-3,
-                                           t_end=0.1, base_n=4)
+        report = oracles.convergence_report(mms_runs())
         assert report.passed, report.failures
         for key, target in report.targets.items():
             series = [lv.errors[key] for lv in report.levels]
@@ -150,12 +167,10 @@ def test_criterion_3_mms_convergence_rates(capfd):
 # 4: Cauchy property of the refinement sequence
 
 
-def test_criterion_4_cauchy_refinement_ratios(capfd):
+def test_criterion_4_cauchy_refinement_ratios(capfd, mms_runs):
     ok = False
     try:
-        problem = oracles.make_mms_problem(TANH_MODEL)
-        report = oracles.cauchy_study(problem, levels=3, dt=1e-3, t_end=0.1,
-                                      base_n=4)
+        report = oracles.cauchy_report(mms_runs())
         assert report.passed, report.failures
         assert len(report.e_velocity) == 2
         assert len(report.ratios_velocity) == 1

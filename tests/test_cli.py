@@ -105,11 +105,20 @@ def test_gamma1_sides_must_be_proper_subset(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg2)]) == 2
 
 
-def test_mms_levels_below_three_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["mms", "cauchy"])
+def test_mms_levels_below_three_exit_2(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, study={"levels": 1})
-    assert cli.main(["mms", "--config", str(cfg)]) == 2
-    assert "levels" in capsys.readouterr().err
+    write_config(cfg, study={"levels": 2})
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "study.levels: must be >= 3, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_picard_enabled_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, solver={"picard_enabled": False})
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "solver.picard_enabled: unknown key" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

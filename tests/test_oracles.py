@@ -1,5 +1,6 @@
 """Manufactured-solution data, study drivers, and the form audit."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -327,10 +328,21 @@ def test_convergence_study_rejects_too_few_levels():
         oracles.convergence_study(constant_model(1.0, 1.0), levels=2)
 
 
-def test_convergence_study_structure_small():
-    report = oracles.convergence_study(
-        constant_model(1.0, 1.0), levels=3, dt=0.02, t_end=0.04,
-        beta=0.0, base_n=2)
+SMALL_STUDY = {"levels": 3, "dt": 0.02, "t_end": 0.04, "base_n": 2}
+
+
+def _small_problem():
+    return oracles.make_mms_problem(constant_model(1.0, 1.0), beta=0.0)
+
+
+@pytest.fixture(scope="module")
+def small_runs():
+    """One small refinement run shared by the report tests below."""
+    return oracles.refinement_runs(_small_problem(), **SMALL_STUDY)
+
+
+def test_convergence_study_structure_small(small_runs):
+    report = oracles.convergence_report(small_runs)
     assert len(report.levels) == 3
     assert [lv.n for lv in report.levels] == [2, 4, 8]
     for lv in report.levels:
@@ -349,16 +361,42 @@ def test_cauchy_study_rejects_too_few_levels():
         oracles.cauchy_study(problem, levels=2)
 
 
-def test_cauchy_study_structure_small():
-    problem = oracles.make_mms_problem(constant_model(1.0, 1.0), beta=0.0)
-    report = oracles.cauchy_study(problem, levels=3, dt=0.02, t_end=0.04,
-                                  base_n=2, dual_path=True)
+def test_cauchy_study_structure_small(small_runs):
+    report = oracles.cauchy_report(small_runs, dual_path=True)
     assert len(report.e_velocity) == 2 and len(report.e_temperature) == 2
     assert len(report.ratios_velocity) == 1
     assert report.pair_levels == ((9, 25), (25, 81))
     assert report.dual_path_gap is not None
     assert report.dual_path_gap < 1e-10
     assert all(e > 0 for e in report.e_velocity + report.e_temperature)
+
+
+def test_reports_of_shared_runs_equal_the_studies(small_runs):
+    conv = oracles.convergence_study(constant_model(1.0, 1.0), beta=0.0,
+                                     **SMALL_STUDY)
+    shared = oracles.convergence_report(small_runs)
+    assert ([(lv.n, lv.h, lv.errors) for lv in shared.levels]
+            == [(lv.n, lv.h, lv.errors) for lv in conv.levels])
+    assert shared.rates == conv.rates
+    assert shared.failures == conv.failures
+    assert (shared.dt, shared.t_end) == (conv.dt, conv.t_end)
+    # CauchyReport has no wall-clock field, so the whole report compares
+    assert (oracles.cauchy_report(small_runs, dual_path=True)
+            == oracles.cauchy_study(_small_problem(), dual_path=True,
+                                    **SMALL_STUDY))
+
+
+def test_refinement_runs_prefix_failures_with_level(spaces_4x4):
+    problem = _small_problem()
+    n4_points = spaces_4x4.quad_x.shape
+
+    def f1(points, t):
+        out = problem.f1(points, t)
+        return out * np.nan if points.shape == n4_points else out
+
+    bad = dataclasses.replace(problem, f1=f1)
+    with pytest.raises(ValueError, match=r"^level 1 \(n=4\): non-finite"):
+        oracles.refinement_runs(bad, **SMALL_STUDY)
 
 
 def test_contraction_zero_forcing_contracts(spaces_4x4):

@@ -1,5 +1,6 @@
 """Time stepping, diagnostics, constants estimation, error handling."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -243,6 +244,18 @@ def test_picard_warning_when_iteration_budget_too_small(spaces_4x4):
     with pytest.warns(RuntimeWarning, match="Picard"):
         _, diags = run(spaces_4x4, problem, config)
     assert not diags[-1].picard_converged
+
+
+def test_picard_max_one_is_one_converged_pass(spaces_4x4):
+    problem = oracles.make_mms_problem(
+        CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.8, 1.2)),
+        beta=1.0)
+    config = SolverConfig(dt=0.05, t_end=0.1, picard_max=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, diags = run(spaces_4x4, problem, config)
+    assert [d.picard_iters for d in diags] == [1, 1]
+    assert all(d.picard_converged for d in diags)
 
 
 def test_run_prefixes_failures_with_step_index(spaces_2x2, monkeypatch):
