@@ -40,7 +40,7 @@ def main():
     print(f"convergence study passed: {report.passed}")
 
     cauchy = cauchy_report(runs)
-    print("\npair (coarse dofs, fine dofs):", cauchy.pair_levels)
+    print("\npair (coarse vertices, fine vertices):", cauchy.pair_levels)
     print("velocity differences:   ", [f"{e:.4e}" for e in cauchy.e_velocity])
     print("temperature differences:",
           [f"{e:.4e}" for e in cauchy.e_temperature])

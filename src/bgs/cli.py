@@ -22,8 +22,7 @@ from .coefficients import (CoefficientModel, clamped_affine_law, constant_law,
                            tanh_blend_law)
 from .mesh import SIDES, build_rectangle_mesh, refine_uniform
 
-CSV_HEADER = ("t,kinetic,thermal,rot_seminorm2,grad_w_norm2,z_L4,w_L4,"
-              "Re,Ra,Re_plus_Ra,div_residual,picard_iters")
+CSV_HEADER = ",".join(solver.Diagnostics.CSV_FIELDS)
 
 PROBLEM_NAMES = ("zero", "mms", "cavity_convection")
 
@@ -350,12 +349,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_diagnostics_csv(path: str, diagnostics) -> None:
-    lines = [CSV_HEADER]
-    for diag in diagnostics:
-        lines.append(",".join(_fmt(v) for v in diag.csv_values()))
+def _write_rows(path: str, header, rows) -> None:
+    lines = [",".join(header)] if isinstance(header, (list, tuple)) else [header]
+    for row in rows:
+        lines.append(",".join(_fmt(v) if v is not None else "" for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_diagnostics_csv(path: str, diagnostics) -> None:
+    _write_rows(path, CSV_HEADER, (diag.csv_values() for diag in diagnostics))
+
+
+def _write_constants(outdir: str, constants: dict, source: str) -> None:
+    with open(os.path.join(outdir, "constants.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"source": source, **constants}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_vtk(path: str, spaces: forms.FunctionSpaces, state) -> None:
@@ -387,14 +397,6 @@ def write_vtk(path: str, spaces: forms.FunctionSpaces, state) -> None:
         fh.write("\n".join(out) + "\n")
 
 
-def _write_rows(path: str, header, rows) -> None:
-    lines = [",".join(header)] if isinstance(header, (list, tuple)) else [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if v is not None else "" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -413,10 +415,7 @@ def _cmd_run(cfg, seed: int) -> int:
 
     write_diagnostics_csv(os.path.join(outdir, cfg["output"]["csv_name"]),
                           diagnostics)
-    with open(os.path.join(outdir, "constants.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"source": source, **constants}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_constants(outdir, constants, source)
     every = int(cfg["output"]["vtk_every"])
     if every > 0:
         last = len(states) - 1
@@ -553,11 +552,7 @@ def _cmd_estimate_constants(cfg, seed: int) -> int:
     constants = solver.estimate_constants(spaces)
     outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "constants.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"source": "estimated", **constants}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_constants(outdir, constants, "estimated")
     _write_rows(os.path.join(outdir, "report_estimate-constants.csv"),
                 ["c1", "c1_prime", "d"],
                 [[constants["c1"], constants["c1_prime"], constants["d"]]])

@@ -285,6 +285,21 @@ def test_mms_passes_buoyancy_sign_flag(tmp_path, monkeypatch):
     assert signs == [-1.0]
 
 
+def test_cauchy_zero_problem_reports_zero_distance_as_exit_4(tmp_path, capsys):
+    # the default zero problem gives every level the same trajectory, so
+    # each pair distance is 0 and no ratio is defined
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, study={"levels": 3, "base_n": 2},
+                 time={"dt": 0.05, "t_end": 0.1})
+    assert cli.main(["cauchy", "--config", str(cfg)]) == 4
+    out = capsys.readouterr().out
+    assert ("ERROR: verification: cauchy: velocity pair 0: coarser distance "
+            "is 0, ratio undefined") in out
+    lines = read_lines(tmp_path / "out" / "report_cauchy.csv")
+    assert lines == ["pair,e_velocity,e_temperature,ratio_velocity,"
+                     "ratio_temperature", "0,0,0,,", "1,0,0,nan,nan"]
+
+
 def test_mms_small_study_reports_failures_as_exit_4(tmp_path, capsys):
     # two coarse levels with a huge dt: rate targets cannot be met, the
     # command must say so and exit 4 rather than raise

@@ -10,7 +10,7 @@ import sympy as sym
 from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
 from bgs import forms, oracles
-from bgs.solver import SolverConfig
+from bgs.solver import ProblemData, SolverConfig
 
 from helpers_stencil import nested_forcings
 
@@ -318,6 +318,18 @@ def test_check_forms_passes_and_seed_invariant(spaces_2x2):
         rep_a.worst_of("no_such_check")
 
 
+def test_check_forms_pins_constants_and_dual_norm_bound(spaces_2x2):
+    # dual_norm_bound calibrates its own constant, so only a pinned value
+    # catches a wrong Gram solve in the dual norm
+    report = oracles.check_forms(spaces_2x2, trials=5, seed=42)
+    assert report.constants["c1"] == pytest.approx(0.976363087182704, rel=1e-12)
+    assert report.constants["c1_prime"] == pytest.approx(0.7211730887545281,
+                                                         rel=1e-12)
+    assert report.constants["d"] == pytest.approx(1.0000000000000002, rel=1e-12)
+    assert report.worst_of("dual_norm_bound") == pytest.approx(
+        0.25517904410688297, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # study drivers (small smoke configurations; the full-budget runs live in
 # the acceptance suite)
@@ -369,6 +381,29 @@ def test_cauchy_study_structure_small(small_runs):
     assert report.dual_path_gap is not None
     assert report.dual_path_gap < 1e-10
     assert all(e > 0 for e in report.e_velocity + report.e_temperature)
+
+
+def test_cauchy_report_zero_distance_is_a_failure():
+    def zero_vec(pts, t=0.0):
+        return np.zeros(np.asarray(pts).shape)
+
+    def zero_scalar(pts, t=0.0):
+        return np.zeros(np.asarray(pts).shape[:-1])
+
+    problem = ProblemData(model=constant_model(1.0, 1.0), beta=0.0,
+                          g=oracles.as_vector_field((0.0, -1.0)),
+                          f1=zero_vec, f2=zero_scalar, v1=zero_scalar,
+                          v2=zero_scalar, z0=zero_vec, w0=zero_scalar)
+    runs = oracles.refinement_runs(problem, levels=3, dt=0.05, t_end=0.1,
+                                   base_n=2)
+    report = oracles.cauchy_report(runs)
+    assert report.e_velocity == (0.0, 0.0) and report.e_temperature == (0.0, 0.0)
+    assert np.isnan(report.ratios_velocity[0])
+    assert np.isnan(report.ratios_temperature[0])
+    assert report.failures == (
+        "velocity pair 0: coarser distance is 0, ratio undefined",
+        "temperature pair 0: coarser distance is 0, ratio undefined")
+    assert not report.passed
 
 
 def test_reports_of_shared_runs_equal_the_studies(small_runs):
