@@ -11,6 +11,7 @@ give unconditional energy decay of the time stepper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +62,11 @@ class BoundarySide:
 
 @dataclass(frozen=True)
 class FunctionSpaces:
-    """Geometry, dof maps, constraints and quadrature tables for one mesh."""
+    """Geometry, dof maps, constraints and quadrature tables for one mesh.
+
+    The CSR pattern of each operator pair is built on first use, not by
+    build_spaces, so a caller that assembles nothing does not pay for it.
+    """
 
     mesh: Mesh
     edges: np.ndarray            # (ne, 2)
@@ -111,6 +116,26 @@ class FunctionSpaces:
         return {"velocity": self.velocity_dim,
                 "temperature": self.temperature_dim,
                 "head": self.head_dim}[space]
+
+    @cached_property
+    def velocity_pattern(self) -> "Pattern":
+        n = self.velocity_dim
+        return Pattern(self.vel_dofs, self.vel_dofs, (n, n))
+
+    @cached_property
+    def temperature_pattern(self) -> "Pattern":
+        n = self.temperature_dim
+        return Pattern(self.mesh.triangles, self.mesh.triangles, (n, n))
+
+    @cached_property
+    def divergence_pattern(self) -> "Pattern":
+        return Pattern(self.mesh.triangles, self.vel_dofs,
+                       (self.head_dim, self.velocity_dim))
+
+    @cached_property
+    def buoyancy_pattern(self) -> "Pattern":
+        return Pattern(self.vel_dofs, self.mesh.triangles,
+                       (self.velocity_dim, self.temperature_dim))
 
 
 def _p2_ref(points: np.ndarray):
@@ -358,15 +383,99 @@ def scalar_grad(spaces: FunctionSpaces, f: FieldVector) -> np.ndarray:
 # assembly
 
 
-def _scatter(loc, row_map, col_map, shape) -> sp.csr_matrix:
-    """Sum the element blocks loc[t] into CSR at (row_map[t], col_map[t])."""
-    m, a, b = loc.shape
-    rows = np.broadcast_to(row_map[:, :, None], (m, a, b)).ravel()
-    cols = np.broadcast_to(col_map[:, None, :], (m, a, b)).ravel()
-    mat = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    if not np.all(np.isfinite(mat.data)):
+class Pattern:
+    """CSR pattern of one element-assembled operator, fixed per mesh.
+
+    Element block entry loc[t, a, b] belongs at (row_map[t, a],
+    col_map[t, b]).  ``perm`` lists the flat entries in the order that
+    scipy's COO->CSR conversion leaves them: ``coo_tocsr`` sorts them
+    stably by row, then ``csr_sort_indices`` sorts each row by column
+    with ``std::sort``, which is not stable.  ``slot`` is the data slot
+    of each entry in that order.  Adding duplicates in this order
+    reproduces scipy's sums bit for bit; adding them in element order
+    does not (219 entries of the 16x16 velocity diffusion differ).  The
+    order is read off once by sorting a CSR matrix of entry ids.
+    """
+
+    def __init__(self, row_map: np.ndarray, col_map: np.ndarray, shape):
+        m, a = row_map.shape
+        b = col_map.shape[1]
+        rows = np.broadcast_to(row_map[:, :, None], (m, a, b)).ravel()
+        cols = np.broadcast_to(col_map[:, None, :], (m, a, b)).ravel()
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        ids = sp.csr_matrix((by_row.astype(np.float64), cols[by_row], indptr),
+                            shape=shape)
+        ids.sort_indices()
+        self.perm = ids.data.astype(np.intp)
+        rows, cols = rows[self.perm], ids.indices
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self.slot = np.cumsum(first) - 1
+        self.shape = tuple(shape)
+        self.nnz = int(first.sum())
+        # int32, as scipy stores indices at every size assembled here
+        self.rows = rows[first].astype(np.int32)
+        self.indices = cols[first].astype(np.int32)
+        self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows, minlength=shape[0]), out=self.indptr[1:])
+        for arr in (self.perm, self.slot, self.rows, self.indices, self.indptr):
+            arr.setflags(write=False)   # shared by every matrix on the pattern
+
+    def sum(self, loc: np.ndarray) -> np.ndarray:
+        """Data of the assembled matrix: duplicates added in scipy's order.
+
+        Starting from -0.0, the additive identity, keeps the sign of a sum
+        of negative zeros as scipy does.
+        """
+        data = np.full(self.nnz, -0.0)
+        np.add.at(data, self.slot, loc.ravel()[self.perm])
+        return data
+
+    def matrix(self, data: np.ndarray, keep: np.ndarray | None = None
+               ) -> sp.csr_matrix:
+        """Canonical CSR with this pattern, or its ``keep`` slots only."""
+        if keep is None:
+            indptr, indices = self.indptr.copy(), self.indices.copy()
+        else:
+            kept = np.zeros(self.nnz + 1, dtype=np.int32)
+            np.cumsum(keep, out=kept[1:])
+            indptr, indices = kept[self.indptr], self.indices[keep]
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        # ascending, because the pattern is canonical CSR
+        return self.rows.astype(np.int64) * self.shape[1] + self.indices
+
+    @cached_property
+    def transposed_slots(self) -> np.ndarray:
+        """Slot of (j, i) for each slot (i, j) of a symmetric pattern."""
+        return np.searchsorted(
+            self._keys, self.indices.astype(np.int64) * self.shape[1] + self.rows)
+
+    def data_of(self, mat: sp.csr_matrix) -> np.ndarray:
+        """Data of a canonical CSR matrix whose entries lie on this pattern,
+        spread onto the pattern with 0.0 where it stores nothing."""
+        if mat.nnz == self.nnz:
+            return mat.data
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(mat.indptr))
+        out = np.zeros(self.nnz)
+        out[np.searchsorted(self._keys, rows * self.shape[1] + mat.indices)] = mat.data
+        return out
+
+
+def _summed(loc: np.ndarray, pattern: Pattern) -> np.ndarray:
+    data = pattern.sum(loc)
+    if not np.all(np.isfinite(data)):
         raise ValueError("assembled operator contains non-finite entries")
-    return mat
+    return data
+
+
+def _scatter(loc: np.ndarray, pattern: Pattern) -> sp.csr_matrix:
+    """Sum the element blocks loc[t] into CSR on the operator's pattern."""
+    return pattern.matrix(_summed(loc, pattern))
 
 
 def _vector_rot_div(spaces):
@@ -389,13 +498,10 @@ def assemble_mass(spaces: FunctionSpaces, which: str) -> sp.csr_matrix:
         loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
         loc[:, 0::2, 0::2] = m6
         loc[:, 1::2, 1::2] = m6
-        n = spaces.velocity_dim
-        return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+        return _scatter(loc, spaces.velocity_pattern)
     if which == "temperature":
         loc = np.einsum("tq,qab->tab", spaces.quad_w, _sym_outer(spaces.p1_at_q))
-        n = spaces.temperature_dim
-        t = spaces.mesh.triangles
-        return _scatter(loc, t, t, (n, n))
+        return _scatter(loc, spaces.temperature_pattern)
     raise ValueError(f"unknown mass space {which!r}")
 
 
@@ -415,8 +521,7 @@ def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
     for q in range(w.shape[1]):
         loc += w[:, q, None, None] * (_sym_outer(rot[:, q])
                                       + _sym_outer(div[:, q]))
-    n = spaces.velocity_dim
-    return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+    return _scatter(loc, spaces.velocity_pattern)
 
 
 def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
@@ -426,17 +531,15 @@ def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
     w = (spaces.quad_w * model.conductivity(w_q)).sum(axis=1)
     g = spaces.p1_grad                                   # (nt, 3, 2)
     outer = g[:, :, None, :] * g[:, None, :, :]          # (nt, 3, 3, 2)
-    n = spaces.temperature_dim
-    t = spaces.mesh.triangles
-    return _scatter(np.einsum("t,tabd->tab", w, outer), t, t, (n, n))
+    return _scatter(np.einsum("t,tabd->tab", w, outer),
+                    spaces.temperature_pattern)
 
 
 def assemble_divergence_constraint(spaces: FunctionSpaces) -> sp.csr_matrix:
     """Matrix D with D[k, j] = integral(q_k div phi_j); rows are head dofs."""
     _, div = _vector_rot_div(spaces)
     loc = np.einsum("tq,qk,tqj->tkj", spaces.quad_w, spaces.p1_at_q, div)
-    return _scatter(loc, spaces.mesh.triangles, spaces.vel_dofs,
-                    (spaces.head_dim, spaces.velocity_dim))
+    return _scatter(loc, spaces.divergence_pattern)
 
 
 def assemble_velocity_advection(spaces: FunctionSpaces,
@@ -451,8 +554,7 @@ def assemble_velocity_advection(spaces: FunctionSpaces,
     loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
     loc[:, 1::2, 0::2] = s      # (z-hat x e_x) . e_y = +1
     loc[:, 0::2, 1::2] = -s     # (z-hat x e_y) . e_x = -1
-    n = spaces.velocity_dim
-    return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+    return _scatter(loc, spaces.velocity_pattern)
 
 
 def assemble_temperature_advection(spaces: FunctionSpaces,
@@ -465,10 +567,12 @@ def assemble_temperature_advection(spaces: FunctionSpaces,
     z_q = velocity_at_quadrature(spaces, z_h)
     zg = np.einsum("tqd,tad->tqa", z_q, spaces.p1_grad)
     loc = np.einsum("tq,qi,tqj->tij", spaces.quad_w, spaces.p1_at_q, zg)
-    n = spaces.temperature_dim
-    t = spaces.mesh.triangles
-    one_sided = _scatter(loc, t, t, (n, n))
-    return 0.5 * (one_sided - one_sided.T.tocsr())
+    pattern = spaces.temperature_pattern
+    one_sided = _summed(loc, pattern)
+    # what scipy's 0.5 * (C - C.T) stores: exact zeros are dropped
+    diff = one_sided - one_sided[pattern.transposed_slots]
+    keep = diff != 0
+    return pattern.matrix(diff[keep] * 0.5, keep)
 
 
 def assemble_buoyancy(spaces: FunctionSpaces, beta: float, g) -> sp.csr_matrix:
@@ -488,8 +592,7 @@ def assemble_buoyancy(spaces: FunctionSpaces, beta: float, g) -> sp.csr_matrix:
     for c in (0, 1):
         loc[:, c::2, :] = np.einsum("tq,qi,qj->tij", w * g_q[..., c],
                                     spaces.p2_at_q, spaces.p1_at_q)
-    return _scatter(loc, spaces.vel_dofs, spaces.mesh.triangles,
-                    (spaces.velocity_dim, spaces.temperature_dim))
+    return _scatter(loc, spaces.buoyancy_pattern)
 
 
 def _check_pointwise(vals, where, what):
@@ -565,8 +668,7 @@ def assemble_velocity_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
     loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
     loc[:, 0::2, 0::2] = m6 + k6
     loc[:, 1::2, 1::2] = m6 + k6
-    n = spaces.velocity_dim
-    return _scatter(loc, spaces.vel_dofs, spaces.vel_dofs, (n, n))
+    return _scatter(loc, spaces.velocity_pattern)
 
 
 def assemble_temperature_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
@@ -575,9 +677,7 @@ def assemble_temperature_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
     g = spaces.p1_grad
     outer_k = g[:, :, None, :] * g[:, None, :, :]
     k3 = np.einsum("t,tabd->tab", w.sum(axis=1), outer_k)
-    n = spaces.temperature_dim
-    t = spaces.mesh.triangles
-    return _scatter(m3 + k3, t, t, (n, n))
+    return _scatter(m3 + k3, spaces.temperature_pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -163,22 +163,89 @@ def initialize_state(spaces: FunctionSpaces, problem: ProblemData) -> State:
     return State(t=0.0, z=z, w=w, P=forms.zeros_field(spaces, "head"))
 
 
+class _Layout:
+    """Where each block entry of a linear system lands in its constrained CSC.
+
+    Blocks are operator patterns placed at a row and column offset,
+    optionally transposed.  ``system`` builds the matrix that
+    ``(dm @ A @ dm + diag(fixed)).tocsc()`` gave for the block matrix A and
+    the 0/1 free-dof mask dm, bit for bit:
+
+    - an entry in a fixed row or column is dropped, and each fixed dof
+      gets 1.0 on its diagonal;
+    - every other entry keeps its value and is stored only if it is
+      nonzero, because those sparse products and sums drop exact zeros.
+      Storing them would change the pattern, and with it SuperLU's COLAMD
+      ordering and the rounding of every solve.
+    """
+
+    def __init__(self, n: int, blocks, fixed: np.ndarray):
+        rows, cols, src = [], [], []
+        offset = 0
+        for pattern, row0, col0, transposed in blocks:
+            r, c = pattern.rows, pattern.indices
+            if transposed:
+                r, c = c, r
+            rows.append(row0 + r.astype(np.int64))
+            cols.append(col0 + c.astype(np.int64))
+            src.append(offset + np.arange(pattern.nnz))
+            offset += pattern.nnz
+        rows, cols, src = (np.concatenate(a) for a in (rows, cols, src))
+        is_fixed = np.zeros(n, dtype=bool)
+        is_fixed[fixed] = True
+        free = ~(is_fixed[rows] | is_fixed[cols])
+        # source `offset` is the 1.0 appended after the block data
+        rows = np.concatenate([rows[free], fixed])
+        cols = np.concatenate([cols[free], fixed])
+        src = np.concatenate([src[free], np.full(len(fixed), offset)])
+        order = np.lexsort((rows, cols))
+        self.src = src[order]
+        self.indices = rows[order].astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        self.mask = np.ones(n)
+        self.mask[fixed] = 0.0
+        self.shape = (n, n)
+
+    def system(self, *block_data: np.ndarray) -> sp.csc_matrix:
+        values = np.concatenate(block_data + (np.ones(1),))[self.src]
+        keep = values != 0
+        kept = np.zeros(len(keep) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        return sp.csc_matrix((values[keep], self.indices[keep],
+                              kept[self.indptr]), shape=self.shape)
+
+
 @dataclass(frozen=True)
 class _Operators:
-    """State-independent matrices reused across steps."""
+    """State-independent matrices and system layouts reused across steps."""
 
     mass_velocity: sp.csr_matrix
     mass_temperature: sp.csr_matrix
     divergence: sp.csr_matrix
     buoyancy: sp.csr_matrix
+    temperature_layout: _Layout
+    saddle_layout: _Layout
 
 
 def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
+    nv = spaces.velocity_dim
+    div = spaces.divergence_pattern
     return _Operators(
         mass_velocity=forms.assemble_mass(spaces, "velocity"),
         mass_temperature=forms.assemble_mass(spaces, "temperature"),
         divergence=forms.assemble_divergence_constraint(spaces),
-        buoyancy=forms.assemble_buoyancy(spaces, problem.beta, problem.g))
+        buoyancy=forms.assemble_buoyancy(spaces, problem.beta, problem.g),
+        temperature_layout=_Layout(
+            spaces.temperature_dim,
+            [(spaces.temperature_pattern, 0, 0, False)],
+            spaces.fixed_temperature_dofs),
+        # [[K, D^T], [D, 0]]
+        saddle_layout=_Layout(
+            nv + spaces.head_dim,
+            [(spaces.velocity_pattern, 0, 0, False), (div, 0, nv, True),
+             (div, nv, 0, False)],
+            spaces.fixed_velocity_dofs))
 
 
 # Later Picard passes of a step solve the saddle system by GMRES
@@ -186,22 +253,6 @@ def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_RESTART = 15
 _KRYLOV_MAXITER = 1     # one restart cycle: at most 15 iterations
-
-
-def _constrain(matrix: sp.spmatrix, rhs: np.ndarray,
-               fixed: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Eliminate homogeneous essential dofs in place.
-
-    Masking rows and columns and dropping a 1 on the diagonal keeps the
-    sparsity pattern and symmetry class of the operator intact.
-    """
-    n = matrix.shape[0]
-    mask = np.ones(n)
-    mask[fixed] = 0.0
-    dm = sp.diags(mask)
-    ind = np.zeros(n)
-    ind[fixed] = 1.0
-    return (dm @ matrix @ dm + sp.diags(ind)).tocsc(), rhs * mask
 
 
 def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu) -> np.ndarray | None:
@@ -234,11 +285,11 @@ class _LaggedFactor:
         return self.lu.solve(rhs)
 
 
-def _solve_constrained(matrix: sp.spmatrix, rhs: np.ndarray,
-                       fixed: np.ndarray, stage: str,
-                       lagged: _LaggedFactor | None = None) -> np.ndarray:
+def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
+                       stage: str, lagged: _LaggedFactor | None = None) -> np.ndarray:
     """Solve with essential dofs eliminated; fresh LU unless lagged is given."""
-    system, rhs = _constrain(matrix, rhs, fixed)
+    system = layout.system(*block_data)
+    rhs = rhs * layout.mask
     try:
         if lagged is None:
             x = spla.splu(system).solve(rhs)
@@ -251,29 +302,40 @@ def _solve_constrained(matrix: sp.spmatrix, rhs: np.ndarray,
     return x
 
 
+# The blocks of each system are summed as data arrays on one operator
+# pattern.  M / dt is formed as M.data * (1.0 / dt), the product scipy's
+# sparse M / dt computes, so the systems equal the sparse-sum form bit
+# for bit.
+
+
 def _temperature_pass(spaces, problem, config, ops, w_old, z_coeff, w_coeff,
                       load) -> np.ndarray:
+    pattern = spaces.temperature_pattern
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
-    system = ops.mass_temperature / config.dt + a_k + c_tilde
+    data = (pattern.data_of(ops.mass_temperature) * (1.0 / config.dt)
+            + pattern.data_of(a_k))
+    data += pattern.data_of(c_tilde)
     rhs = ops.mass_temperature @ w_old / config.dt + load
-    return _solve_constrained(system, rhs, spaces.fixed_temperature_dofs,
+    return _solve_constrained(ops.temperature_layout, (data,), rhs,
                               "temperature")
 
 
 def _velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new,
                    load, lagged) -> tuple[np.ndarray, np.ndarray]:
+    pattern = spaces.velocity_pattern
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
-    k_block = ops.mass_velocity / config.dt + a_g + n_adv
-    saddle = sp.bmat([[k_block, ops.divergence.T],
-                      [ops.divergence, None]], format="csr")
+    k_data = (pattern.data_of(ops.mass_velocity) * (1.0 / config.dt)
+              + pattern.data_of(a_g))
+    k_data += pattern.data_of(n_adv)
+    d_data = spaces.divergence_pattern.data_of(ops.divergence)
     rhs = np.concatenate([
         ops.mass_velocity @ z_old / config.dt + load
         - problem.buoyancy_sign * (ops.buoyancy @ w_new),
         np.zeros(spaces.head_dim)])
-    x = _solve_constrained(saddle, rhs, spaces.fixed_velocity_dofs,
+    x = _solve_constrained(ops.saddle_layout, (k_data, d_data, d_data), rhs,
                            "velocity/head", lagged)
     return x[:spaces.velocity_dim], x[spaces.velocity_dim:]
 
@@ -391,6 +453,9 @@ def _free_velocity_dofs(spaces: FunctionSpaces) -> np.ndarray:
 
 def _divergence_free_basis(spaces: FunctionSpaces, free_v) -> np.ndarray:
     """Orthonormal basis of the divergence-free fields on the free dofs."""
+    if spaces.velocity_dim > 3000:
+        raise ValueError("estimate_constants needs a coarse mesh "
+                         f"(velocity dim {spaces.velocity_dim} > 3000)")
     d_free = forms.assemble_divergence_constraint(spaces).toarray()[:, free_v]
     null = scipy.linalg.null_space(d_free)
     if null.shape[1] == 0:
@@ -408,14 +473,17 @@ def estimate_constants(spaces: FunctionSpaces) -> dict:
     the unit temperature stiffness.  d: L4/H1 ratio over the temperature
     space, by ascent from the constant function and the x-ramp; a lower bound.
     """
-    if spaces.velocity_dim > 3000:
-        raise ValueError("estimate_constants needs a coarse mesh "
-                         f"(velocity dim {spaces.velocity_dim} > 3000)")
+    free_v = _free_velocity_dofs(spaces)
+    return _constants_on_basis(spaces, free_v,
+                               _divergence_free_basis(spaces, free_v))
+
+
+def _constants_on_basis(spaces: FunctionSpaces, free_v: np.ndarray,
+                        null: np.ndarray) -> dict:
+    """estimate_constants with the divergence-free basis already built."""
     unit = constant_model(1.0, 1.0)
     zero_w = forms.zeros_field(spaces, "temperature")
 
-    free_v = _free_velocity_dofs(spaces)
-    null = _divergence_free_basis(spaces, free_v)
     a_unit = _dense_free(
         forms.assemble_velocity_diffusion(spaces, unit, zero_w), free_v)
     h_vel = _dense_free(forms.assemble_velocity_h1_gram(spaces), free_v)

@@ -13,6 +13,7 @@ from bgs.coefficients import (
 from bgs import forms
 from bgs.forms import FieldVector
 
+import helpers_coo as hc
 import helpers_dense as hd
 
 
@@ -151,6 +152,52 @@ def test_assembled_operator_is_canonical_csr(spaces_4x4, rng, name):
     mat = _ASSEMBLERS[name](spaces_4x4, rng)
     assert mat.format == "csr"
     assert mat.has_canonical_format
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the COO scatter that operator patterns replaced
+
+
+_BIT_MESHES = {"4x4": (4, 4, ("left",)), "16x16": (16, 16, ("left",)),
+               "32x32": (32, 32, ("left",)), "3x7": (3, 7, ("left", "top"))}
+
+
+def _assert_same_csr(got, want):
+    assert got.format == "csr" and got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+@pytest.mark.parametrize("mesh", sorted(_BIT_MESHES))
+def test_assembly_matches_coo_scatter_bit_for_bit(mesh):
+    s = build_spaces(build_rectangle_mesh(*_BIT_MESHES[mesh]))
+    rng = np.random.default_rng(sum(_BIT_MESHES[mesh][:2]))
+    w = _random_field(s, "temperature", rng)
+    z = _random_field(s, "velocity", rng)
+    z_zero = forms.zeros_field(s, "velocity")
+
+    def gravity(x):
+        return np.stack([np.sin(3.0 * x[..., 0]), -1.0 - x[..., 1] ** 2], axis=-1)
+
+    cases = [
+        (forms.assemble_mass, "velocity"), (forms.assemble_mass, "temperature"),
+        (forms.assemble_velocity_diffusion, _TANH_MODEL, w),
+        (forms.assemble_temperature_diffusion, _TANH_MODEL, w),
+        (forms.assemble_divergence_constraint,),
+        (forms.assemble_velocity_advection, z),
+        # at z = 0 the blocks hold -0.0, whose sums keep their sign
+        (forms.assemble_velocity_advection, z_zero),
+        (forms.assemble_temperature_advection, z),
+        # at z = 0 every entry of C - C^T is an exact zero and is dropped
+        (forms.assemble_temperature_advection, z_zero),
+        (forms.assemble_buoyancy, 0.7, gravity),
+        (forms.assemble_velocity_h1_gram,), (forms.assemble_temperature_h1_gram,),
+    ]
+    for assemble, *args in cases:
+        _assert_same_csr(assemble(s, *args), hc.coo_assembled(assemble, s, *args))
+    assert np.signbit(forms.assemble_velocity_advection(s, z_zero).data).any()
+    assert forms.assemble_temperature_advection(s, z_zero).nnz == 0
 
 
 # ---------------------------------------------------------------------------

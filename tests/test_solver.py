@@ -1,15 +1,17 @@
 """Time stepping, diagnostics, constants estimation, error handling."""
 
+import dataclasses
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
-from bgs import forms, oracles
+from bgs import forms, oracles, solver
 from bgs.solver import (
     Diagnostics,
     ProblemData,
@@ -23,6 +25,7 @@ from bgs.solver import (
     step,
 )
 
+import helpers_coo as hc
 import helpers_dense as hd
 
 
@@ -396,3 +399,75 @@ def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
     assert max(d.picard_iters for d in diags) > 1
     assert live_at_splu == [0] * len(live_at_splu)
     assert all(ref() is None for ref in factors)
+
+
+# ---------------------------------------------------------------------------
+# fixed-pattern systems against the bmat + constrain passes they replaced
+
+
+def _run_recording_factored_systems(spaces, problem, config, bmat_passes):
+    real_splu = spla.splu
+    systems = []
+
+    def splu(matrix, *args, **kwargs):
+        systems.append(matrix)
+        return real_splu(matrix, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "splu", splu)
+        if bmat_passes:
+            mp.setattr(solver, "_temperature_pass", hc.temperature_pass)
+            mp.setattr(solver, "_velocity_pass", hc.velocity_pass)
+        states, diags = run(spaces, problem, config)
+    return states, diags, systems
+
+
+def _still_cavity():
+    # z0 = 0: the first pass has N = 0 and velocity advection blocks of -0.0
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    return dataclasses.replace(cavity_problem(beta=1.0), model=model,
+                               z0=lambda x: np.zeros((len(x), 2)))
+
+
+@pytest.mark.parametrize("case", ["cavity_8x8", "mms_4x4"])
+def test_step_matches_bmat_passes_bit_for_bit(case):
+    if case == "cavity_8x8":
+        spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+        problem, config = _still_cavity(), SolverConfig(dt=0.01, t_end=0.05)
+    else:
+        spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
+        model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+        problem = oracles.make_mms_problem(model, beta=0.5)
+        config = SolverConfig(dt=1e-3, t_end=0.01)
+    # D stores exact zeros, so every saddle system drops some entries
+    assert np.any(forms.assemble_divergence_constraint(spaces).data == 0.0)
+
+    old = _run_recording_factored_systems(spaces, problem, config, True)
+    new = _run_recording_factored_systems(spaces, problem, config, False)
+    assert [d.picard_iters for d in new[1]] == [d.picard_iters for d in old[1]]
+    for a, b in zip(new[0], old[0]):
+        for name in ("z", "w", "P"):
+            assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+    assert len(new[2]) == len(old[2]) > 0
+    for got, want in zip(new[2], old[2]):
+        assert got.format == "csc" and got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+def test_run_builds_no_block_matrix_and_converts_no_coo(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bmat or a COO->CSR conversion on the solver path")
+
+    monkeypatch.setattr(sp, "bmat", forbidden)
+    monkeypatch.setattr(sp.coo_matrix, "tocsr", forbidden)
+    monkeypatch.setattr(sp.coo_array, "tocsr", forbidden)
+    # fresh spaces, so their operator patterns are built under the guard
+    spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
+    config = SolverConfig(dt=0.01, t_end=0.02)
+    run(spaces, _still_cavity(), config)
+    # the guard catches the passes it replaced
+    monkeypatch.setattr(solver, "_velocity_pass", hc.velocity_pass)
+    with pytest.raises(AssertionError, match="bmat or a COO"):
+        run(spaces, _still_cavity(), config)
