@@ -238,6 +238,8 @@ def validate_config(raw) -> dict:
 
 
 def load_config(path: str) -> dict:
+    """Read and validate a config file; the private "_constants_given"
+    records whether the file set solver.constants itself."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -245,7 +247,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+    cfg = validate_config(raw)
+    cfg["_constants_given"] = "constants" in raw.get("solver", {})
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +591,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> int:
-    if args.config is not None:
-        cfg = load_config(args.config)
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg["_constants_given"] = "constants" in raw.get("solver", {})
-    else:
-        cfg = _default_config()
-        cfg["_constants_given"] = False
+    cfg = (_default_config() if args.config is None
+           else load_config(args.config))
     if args.seed < 0:
         raise ConfigError("--seed: must be a non-negative integer")
 

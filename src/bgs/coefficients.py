@@ -41,6 +41,23 @@ class ScalarLaw:
             return self.lo + (self.hi - self.lo) * 0.5 * (1.0 + np.tanh(w))
         raise ValueError(f"unknown coefficient kind {self.kind!r}")
 
+    def derivative(self, w):
+        """Pointwise derivative of the law in w.
+
+        A clamped law is not differentiable at its clip points; there it
+        takes the one-sided slope 0 of the clipped side.
+        """
+        w = np.asarray(w, dtype=float)
+        if self.kind == "constant":
+            return np.zeros_like(w)
+        if self.kind == "clamped_affine":
+            v = self.intercept + self.slope * w
+            return np.where((self.lo < v) & (v < self.hi), self.slope, 0.0)
+        if self.kind == "tanh_blend":
+            # not 1/cosh^2, which overflows for |w| beyond about 355
+            return 0.5 * (self.hi - self.lo) * (1.0 - np.tanh(w) ** 2)
+        raise ValueError(f"unknown coefficient kind {self.kind!r}")
+
 
 def _check_bounds(lo: float, hi: float) -> None:
     if not (np.isfinite(lo) and np.isfinite(hi)):

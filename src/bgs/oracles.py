@@ -1,24 +1,19 @@
 """Verification drivers: manufactured solutions, refinement studies,
 two-trajectory contraction, and form-property audits.
 
-The manufactured problem never hand-expands the curl of the stress; all
-derivatives of the exact fields come from 4th-order central differences
-with step 1e-5, evaluated in extended precision so the nested stencil
-(derivative of a derivative) stays below 1e-8 absolute noise.  A
-one-time symbolic cross-check in the test suite anchors the stencil
-path.  Every exact field is a spatial field times exp(-t), so the
-spatial stencils of the forcings are tabulated once per point set (at
-t=0, in a small cache keyed by the points' content) and each call only
-applies the decay factor and evaluates the coefficient laws.
+The manufactured forcing is closed form.  Every exact field is a
+spatial field times exp(-t); the derivatives of the spatial parts are
+written out by hand, and the forcings combine them with the coefficient
+laws by the chain rule.  Tier-1 checks them against sympy and against a
+nested finite-difference stencil (`tests/helpers_stencil.py`).  A
+clamped law uses its one-sided slope at the clip points.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg
@@ -32,45 +27,8 @@ from .solver import (ProblemData, SolverConfig, State, _constants_on_basis,
                      _divergence_free_basis, _free_velocity_dofs,
                      estimate_constants, initialize_state, run)
 
-FD_STEP = 1e-5
-
 RATE_TARGETS = {"velocity_l2": 2.5, "velocity_rot": 1.6,
                 "temperature_l2": 1.6, "head_l2": 1.6}
-
-
-# ---------------------------------------------------------------------------
-# finite-difference stencils (extended precision)
-
-
-_H = np.longdouble(FD_STEP)
-_OFFSETS = (2, 1, -1, -2)        # multiples of h, in the order _combine reads them
-
-
-def _shifted(p, axis: int):
-    """Copies of the longdouble points p moved by 2h, h, -h, -2h along axis."""
-    out = []
-    for k in _OFFSETS:
-        q = p.copy()
-        q[..., axis] += k * _H
-        out.append(q)
-    return out
-
-
-def _combine(v):
-    """4th-order central difference from the values at 2h, h, -h, -2h."""
-    return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * _H)
-
-
-def _fd_axis(fn, points, axis: int) -> np.ndarray:
-    """4th-order central d/dx_axis of fn(points); longdouble throughout."""
-    p = np.asarray(points, dtype=np.longdouble)
-    return _combine([np.asarray(fn(q), dtype=np.longdouble)
-                     for q in _shifted(p, axis)])
-
-
-def fd_gradient(fn, points) -> np.ndarray:
-    """Spatial gradient of a scalar function, stacked on the last axis."""
-    return np.stack([_fd_axis(fn, points, 0), _fd_axis(fn, points, 1)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +55,39 @@ def exact_head(points, t):
     return np.cos(np.pi * x) * np.cos(np.pi * y) * decay
 
 
-def _stencil_rot(points, t):
-    """Vorticity of the exact velocity by the stencil oracle, longdouble."""
-    return (_fd_axis(lambda q: exact_velocity(q, t)[..., 1], points, 0)
-            - _fd_axis(lambda q: exact_velocity(q, t)[..., 0], points, 1))
+def _spatial_parts(points) -> dict:
+    """The exact fields at t=0 and the derivatives the forcings read.
+
+    The velocity is (d/dy, -d/dx) of the stream function a(x) s(y) with
+    a = x^2 (1-x)^2 and s = sin^2(pi y), so its vorticity is
+    -(a'' s + a s'').
+    """
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    pi = np.pi
+    sin_x, cos_x = np.sin(pi * x), np.cos(pi * x)
+    sin_y, cos_y = np.sin(pi * y), np.cos(pi * y)
+    sin_2y, cos_2y = np.sin(2 * pi * y), np.cos(2 * pi * y)
+    a, a1 = x ** 2 * (1 - x) ** 2, 2 * x * (1 - x) * (1 - 2 * x)
+    a2, a3 = 2 - 12 * x + 12 * x ** 2, 24 * x - 12
+    s, s1 = sin_y ** 2, pi * sin_2y
+    s2, s3 = 2 * pi ** 2 * cos_2y, -4 * pi ** 3 * sin_2y
+    return {
+        "z": np.stack([a * s1, -a1 * s], axis=-1),
+        "rot": -(a2 * s + a * s2),
+        "rot_x": -(a3 * s + a1 * s2),
+        "rot_y": -(a2 * s1 + a * s3),
+        "w": x * sin_y,
+        "w_x": sin_y,
+        "w_y": pi * x * cos_y,
+        "lap_w": -pi ** 2 * x * sin_y,
+        "grad_p": np.stack([-pi * sin_x * cos_y, -pi * cos_x * sin_y], axis=-1),
+    }
 
 
 def exact_rot(points, t):
-    """Vorticity of the exact velocity by the stencil oracle."""
-    return np.asarray(_stencil_rot(points, t), dtype=float)
+    """Vorticity d(z2)/dx - d(z1)/dy of the exact velocity, closed form."""
+    return math.exp(-t) * _spatial_parts(points)["rot"]
 
 
 def as_vector_field(g):
@@ -143,104 +125,44 @@ def _outward_normal(points) -> np.ndarray:
     return n
 
 
-class _StencilTable(NamedTuple):
-    """Stencil values of the exact fields at t=0 on one point set.
-
-    All arrays are longdouble and read-only.  The *_s arrays have shape
-    (2, 4, ...): the axis a, then the points moved by 2h, h, -h, -2h
-    along a, i.e. exactly the points an outer stencil along a reads.
-    """
-    z: np.ndarray        # velocity
-    w: np.ndarray        # temperature
-    rot: np.ndarray      # stencil vorticity
-    grad_w: np.ndarray   # stencil gradient of the temperature
-    grad_p: np.ndarray   # stencil gradient of the head
-    w_s: np.ndarray      # temperature at the shifted points
-    rot_s: np.ndarray    # stencil vorticity at the shifted points
-    dw_s: np.ndarray     # stencil d/dx_a of the temperature, shifted along a
-
-
-_TABLE_CACHE_SIZE = 4
-_TABLES: OrderedDict = OrderedDict()
-
-
-def _build_table(p) -> _StencilTable:
-    def w0(q):
-        return exact_temperature(q, 0.0)
-
-    shifted = [_shifted(p, axis) for axis in (0, 1)]
-
-    def at_shifts(fn):
-        return np.stack([np.stack([fn(q, axis) for q in shifted[axis]])
-                         for axis in (0, 1)])
-
-    table = _StencilTable(
-        z=exact_velocity(p, 0.0), w=w0(p), rot=_stencil_rot(p, 0.0),
-        grad_w=fd_gradient(w0, p),
-        grad_p=fd_gradient(lambda q: exact_head(q, 0.0), p),
-        w_s=at_shifts(lambda q, axis: w0(q)),
-        rot_s=at_shifts(lambda q, axis: _stencil_rot(q, 0.0)),
-        dw_s=at_shifts(lambda q, axis: _fd_axis(w0, q, axis)))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-def _stencil_table(points) -> _StencilTable:
-    """The stencil table of a point set, cached by the points' content."""
-    p = np.ascontiguousarray(points)
-    key = (p.dtype.str, p.shape, p.tobytes())
-    table = _TABLES.get(key)
-    if table is None:
-        table = _build_table(np.asarray(p, dtype=np.longdouble))
-        _TABLES[key] = table
-        if len(_TABLES) > _TABLE_CACHE_SIZE:
-            _TABLES.popitem(last=False)
-    else:
-        _TABLES.move_to_end(key)
-    return table
-
-
-def _decay(t):
-    """exp(-t) and its stencil time derivative, in longdouble."""
-    tt = np.longdouble(t)
-    return np.exp(-tt), _combine([np.exp(-(tt + k * _H)) for k in _OFFSETS])
-
-
 def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
                      g=(0.0, -1.0), buoyancy_sign: float = 1.0) -> ProblemData:
-    """Manufactured problem whose forcings come from the stencil oracle.
+    """Manufactured problem with closed-form forcings.
 
     The momentum forcing realizes
         f1 = z_t + Rot(gamma(w) rot z) + rot z x z
              + buoyancy_sign * beta * g * w - grad P,
     with Rot s = (ds/dy, -ds/dx), so the discrete head converges to the
     manufactured P and v1 = P on GAMMA1 closes the boundary pairing.
-    With e = exp(-t), each call scales the t=0 stencil table of its
-    points by e and applies the outer stencils of the stress and flux
-    terms to gamma(e w) e rot z and k(e w) e grad w at the shifted points.
+    With e = exp(-t) and the t=0 parts of `_spatial_parts`, the chain
+    rule gives
+        Rot(gamma(w) om) = (gamma'(w) w_y om + gamma(w) om_y,
+                            -gamma'(w) w_x om - gamma(w) om_x),
+        div(k(w) grad w) = k'(w) |grad w|^2 + k(w) lap w,
+    and z_t = -z, w_t = -w.
     """
     g_fn = as_vector_field(g)
+    gamma, k = coeff_model.viscosity, coeff_model.conductivity
 
     def f1(points, t):
-        tab = _stencil_table(points)
-        e, e_t = _decay(t)
-        stress = coeff_model.viscosity(e * tab.w_s) * (e * tab.rot_s)
-        rot_m = np.stack([_combine(stress[1]), -_combine(stress[0])], axis=-1)
-        om, z = e * tab.rot, e * tab.z
+        d, e = _spatial_parts(points), math.exp(-t)
+        z, w, om = e * d["z"], e * d["w"], e * d["rot"]
+        w_x, w_y = e * d["w_x"], e * d["w_y"]
+        gam, dgam = gamma(w), gamma.derivative(w)
+        rot_m = np.stack([dgam * w_y * om + gam * (e * d["rot_y"]),
+                          -dgam * w_x * om - gam * (e * d["rot_x"])], axis=-1)
         adv = np.stack([-om * z[..., 1], om * z[..., 0]], axis=-1)
-        buoy = (buoyancy_sign * beta) * (e * tab.w)[..., None] \
-            * np.asarray(g_fn(np.asarray(points, dtype=float)), dtype=np.longdouble)
-        return np.asarray(e_t * tab.z + rot_m + adv + buoy - e * tab.grad_p,
-                          dtype=float)
+        buoy = (buoyancy_sign * beta) * w[..., None] \
+            * g_fn(np.asarray(points, dtype=float))
+        return -z + rot_m + adv + buoy - e * d["grad_p"]
 
     def f2(points, t):
-        tab = _stencil_table(points)
-        e, e_t = _decay(t)
-        flux = coeff_model.conductivity(e * tab.w_s) * (e * tab.dw_s)
-        div_flux = _combine(flux[0]) + _combine(flux[1])
-        adv = ((e * tab.z) * (e * tab.grad_w)).sum(axis=-1)
-        return np.asarray(e_t * tab.w - div_flux + adv, dtype=float)
+        d, e = _spatial_parts(points), math.exp(-t)
+        z, w = e * d["z"], e * d["w"]
+        w_x, w_y = e * d["w_x"], e * d["w_y"]
+        div_flux = k.derivative(w) * (w_x ** 2 + w_y ** 2) \
+            + k(w) * (e * d["lap_w"])
+        return -w - div_flux + z[..., 0] * w_x + z[..., 1] * w_y
 
     def v1(points, t):
         return np.asarray(exact_head(np.asarray(points, dtype=float), t),
@@ -251,10 +173,8 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         # plus pairing in the load makes this the datum that closes the
         # weak temperature equation
         n = _outward_normal(points)
-        grad_w = fd_gradient(lambda r: exact_temperature(r, t), points)
-        k = coeff_model.conductivity(
-            exact_temperature(np.asarray(points, dtype=np.longdouble), t))
-        return np.asarray(k * (n * grad_w).sum(axis=-1), dtype=float)
+        d, e = _spatial_parts(points), math.exp(-t)
+        return k(e * d["w"]) * e * (n[..., 0] * d["w_x"] + n[..., 1] * d["w_y"])
 
     return ProblemData(
         model=coeff_model, beta=float(beta), g=g_fn, f1=f1, f2=f2, v1=v1,

@@ -1,19 +1,20 @@
 """Nested-stencil reference for the manufactured forcings.
 
-This is the forcing path written the direct way: every call evaluates
-the exact fields at time t and differentiates them with nested
-4th-order longdouble stencils, a derivative of a derivative for the
-stress and flux terms.  The stencil is spelled out here again, so the
-reference shares only the exact fields and the step size with
-`bgs.oracles`.
+An independent check of the closed-form forcings of `bgs.oracles`:
+every call evaluates the exact fields at time t and differentiates them
+with nested 4th-order longdouble stencils, a derivative of a derivative
+for the stress and flux terms.  It shares only the exact fields and the
+boundary normal with `bgs.oracles`.
 """
 
 import numpy as np
 
 from bgs import oracles
 
+FD_STEP = 1e-5
 
-def fd_axis(fn, points, axis, h=oracles.FD_STEP):
+
+def fd_axis(fn, points, axis, h=FD_STEP):
     p = np.asarray(points, dtype=np.longdouble)
     hh = np.longdouble(h)
 
@@ -29,7 +30,7 @@ def fd_gradient(fn, points):
     return np.stack([fd_axis(fn, points, 0), fd_axis(fn, points, 1)], axis=-1)
 
 
-def fd_time(fn, points, t, h=oracles.FD_STEP):
+def fd_time(fn, points, t, h=FD_STEP):
     p = np.asarray(points, dtype=np.longdouble)
     tt, hh = np.longdouble(t), np.longdouble(h)
 
@@ -39,15 +40,27 @@ def fd_time(fn, points, t, h=oracles.FD_STEP):
     return (-at(2 * hh) + 8 * at(hh) - 8 * at(-hh) + at(-2 * hh)) / (12 * hh)
 
 
+def rot_z(points, t):
+    """Vorticity of `oracles.exact_velocity`, longdouble."""
+    z = oracles.exact_velocity
+    return (fd_axis(lambda q: z(q, t)[..., 1], points, 0)
+            - fd_axis(lambda q: z(q, t)[..., 0], points, 1))
+
+
+def nested_v2(coeff_model, points, t):
+    """The flux datum v2 of `oracles.make_mms_problem` at boundary points."""
+    n = oracles._outward_normal(points)
+    grad_w = fd_gradient(lambda r: oracles.exact_temperature(r, t), points)
+    k = coeff_model.conductivity(
+        oracles.exact_temperature(np.asarray(points, dtype=np.longdouble), t))
+    return np.asarray(k * (n * grad_w).sum(axis=-1), dtype=float)
+
+
 def nested_forcings(coeff_model, beta=0.5, g=(0.0, -1.0), buoyancy_sign=1.0):
     """(f1, f2) of `oracles.make_mms_problem` by nested stencils per call."""
     g_fn = oracles.as_vector_field(g)
     exact_velocity = oracles.exact_velocity
     exact_temperature = oracles.exact_temperature
-
-    def rot_z(points, t):
-        return (fd_axis(lambda q: exact_velocity(q, t)[..., 1], points, 0)
-                - fd_axis(lambda q: exact_velocity(q, t)[..., 0], points, 1))
 
     def f1(points, t):
         z_t = fd_time(exact_velocity, points, t)

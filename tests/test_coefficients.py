@@ -75,6 +75,51 @@ def test_unknown_kind_raises_on_call():
     law = ScalarLaw("cubic_spline", 1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
         law(0.0)
+    with pytest.raises(ValueError):
+        law.derivative(0.0)
+
+
+_DERIVATIVE_LAWS = {
+    "constant": constant_law(1.3),
+    "clamped_affine": clamped_affine_law(1.0, 0.5, 0.8, 1.6),
+    "clamped_affine_negative": clamped_affine_law(1.0, -0.25, 0.5, 2.0),
+    "tanh_blend": tanh_blend_law(0.5, 2.0),
+}
+
+
+def _kinks(law):
+    if law.kind != "clamped_affine":
+        return np.empty(0)
+    return (np.array([law.lo, law.hi]) - law.intercept) / law.slope
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVATIVE_LAWS))
+def test_derivative_matches_central_difference(name):
+    law = _DERIVATIVE_LAWS[name]
+    w = np.linspace(-8.0, 8.0, 321)
+    w = w[np.min(np.abs(w[:, None] - _kinks(law)), axis=1,
+                 initial=np.inf) > 1e-3]
+    h = 1e-6
+    quotient = (law(w + h) - law(w - h)) / (2 * h)
+    assert np.max(np.abs(law.derivative(w) - quotient)) < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVATIVE_LAWS))
+def test_derivative_peak_is_the_lipschitz_constant(name):
+    # tanh peaks at w = 0, clamped_affine anywhere inside its band
+    law = _DERIVATIVE_LAWS[name]
+    slopes = np.abs(law.derivative(np.append(np.linspace(-8.0, 8.0, 321), 0.0)))
+    assert np.max(slopes) == law.lipschitz
+    assert abs(float(law.derivative(0.0))) == law.lipschitz
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVATIVE_LAWS))
+def test_derivative_is_finite_far_out(name):
+    law = _DERIVATIVE_LAWS[name]
+    with np.errstate(all="raise"):
+        d = law.derivative(np.array([-1e3, 1e3]))
+    assert np.all(np.isfinite(d))
+    assert np.array_equal(d, np.zeros(2))
 
 
 def test_model_certificate_properties():

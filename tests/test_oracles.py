@@ -12,7 +12,7 @@ from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
 from bgs import forms, oracles
 from bgs.solver import ProblemData, SolverConfig
 
-from helpers_stencil import nested_forcings
+from helpers_stencil import fd_axis, nested_forcings, nested_v2, rot_z
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +55,14 @@ def test_mms_velocity_divergence_free():
     rng = np.random.default_rng(42)
     pts = rng.uniform(0.05, 0.95, size=(100, 2))
     for t in (0.0, 0.07):
-        div = (oracles._fd_axis(lambda q: oracles.exact_velocity(q, t)[..., 0],
-                                pts, 0)
-               + oracles._fd_axis(lambda q: oracles.exact_velocity(q, t)[..., 1],
-                                  pts, 1))
+        div = (fd_axis(lambda q: oracles.exact_velocity(q, t)[..., 0], pts, 0)
+               + fd_axis(lambda q: oracles.exact_velocity(q, t)[..., 1], pts, 1))
         assert np.max(np.abs(np.asarray(div, dtype=float))) < 1e-9
 
 
 def _symbolic_forcings(gamma_expr_of_w, k_expr_of_w, beta, g_vec, sign=1.0):
+    """f1 components, f2, the vorticity and the flux k(w) grad w, each a
+    numpy function of (x, y, t)."""
     x, y, t = sym.symbols("x y t", real=True)
     decay = sym.exp(-t)
     psi = x ** 2 * (1 - x) ** 2 * sym.sin(sym.pi * y) ** 2 * decay
@@ -81,32 +81,33 @@ def _symbolic_forcings(gamma_expr_of_w, k_expr_of_w, beta, g_vec, sign=1.0):
     f2 = (sym.diff(w, t)
           - sym.diff(kk * sym.diff(w, x), x) - sym.diff(kk * sym.diff(w, y), y)
           + z1 * sym.diff(w, x) + z2 * sym.diff(w, y))
-    return (sym.lambdify((x, y, t), f1_1, "numpy"),
-            sym.lambdify((x, y, t), f1_2, "numpy"),
-            sym.lambdify((x, y, t), f2, "numpy"))
+    exprs = {"f1_1": f1_1, "f1_2": f1_2, "f2": f2, "rot": om,
+             "flux_x": kk * sym.diff(w, x), "flux_y": kk * sym.diff(w, y)}
+    return {key: sym.lambdify((x, y, t), e, "numpy")
+            for key, e in exprs.items()}
 
 
-def test_stencil_forcings_match_symbolic_constant_coefficients():
+def test_forcings_match_symbolic_constant_coefficients():
     problem = oracles.make_mms_problem(constant_model(1.0, 1.0), beta=0.0)
-    s1, s2, sf2 = _symbolic_forcings(lambda w: sym.Integer(1),
-                                     lambda w: sym.Integer(1),
-                                     0.0, (0.0, -1.0))
+    sym_f = _symbolic_forcings(lambda w: sym.Integer(1),
+                              lambda w: sym.Integer(1),
+                              0.0, (0.0, -1.0))
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.1, 0.9, size=(10, 2))
     t = 0.3
     f1 = problem.f1(pts, t)
     f2 = problem.f2(pts, t)
-    ref1 = np.stack([s1(pts[:, 0], pts[:, 1], t),
-                     s2(pts[:, 0], pts[:, 1], t)], axis=-1)
-    ref2 = sf2(pts[:, 0], pts[:, 1], t)
-    assert np.max(np.abs(f1 - ref1)) < 1e-6
-    assert np.max(np.abs(f2 - ref2)) < 1e-6
+    ref1 = np.stack([sym_f["f1_1"](pts[:, 0], pts[:, 1], t),
+                     sym_f["f1_2"](pts[:, 0], pts[:, 1], t)], axis=-1)
+    ref2 = sym_f["f2"](pts[:, 0], pts[:, 1], t)
+    assert np.max(np.abs(f1 - ref1)) < 1e-12
+    assert np.max(np.abs(f2 - ref2)) < 1e-12
 
 
-def test_stencil_forcings_match_symbolic_tanh_coefficients():
+def test_forcings_match_symbolic_tanh_coefficients():
     model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
     problem = oracles.make_mms_problem(model, beta=0.5)
-    s1, s2, sf2 = _symbolic_forcings(
+    sym_f = _symbolic_forcings(
         lambda w: sym.Rational(1, 2) + sym.Rational(3, 2) * (1 + sym.tanh(w)) / 2,
         lambda w: sym.Rational(7, 10) + sym.Rational(3, 5) * (1 + sym.tanh(w)) / 2,
         0.5, (0.0, -1.0))
@@ -115,15 +116,15 @@ def test_stencil_forcings_match_symbolic_tanh_coefficients():
     t = 0.05
     f1 = problem.f1(pts, t)
     f2 = problem.f2(pts, t)
-    ref1 = np.stack([s1(pts[:, 0], pts[:, 1], t),
-                     s2(pts[:, 0], pts[:, 1], t)], axis=-1)
-    ref2 = sf2(pts[:, 0], pts[:, 1], t)
-    assert np.max(np.abs(f1 - ref1)) < 1e-6
-    assert np.max(np.abs(f2 - ref2)) < 1e-6
+    ref1 = np.stack([sym_f["f1_1"](pts[:, 0], pts[:, 1], t),
+                     sym_f["f1_2"](pts[:, 0], pts[:, 1], t)], axis=-1)
+    ref2 = sym_f["f2"](pts[:, 0], pts[:, 1], t)
+    assert np.max(np.abs(f1 - ref1)) < 1e-12
+    assert np.max(np.abs(f2 - ref2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# tabulated forcing against the nested-stencil reference and sympy
+# closed-form forcing against the nested-stencil reference and sympy
 
 
 def _g_varying(points):
@@ -174,6 +175,10 @@ def _symbolic_case(name):
     return _symbolic_forcings(gam, kk, 0.5, g_sym(), sign)
 
 
+_SIDE_NORMALS = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
+                 "bottom": (0.0, -1.0), "top": (0.0, 1.0)}
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 @pytest.mark.parametrize("case", sorted(_FORCING_CASES))
 def test_tabulated_forcing_matches_nested_stencil_and_symbolic(case, n):
@@ -182,24 +187,39 @@ def test_tabulated_forcing_matches_nested_stencil_and_symbolic(case, n):
     problem = oracles.make_mms_problem(model, beta=0.5, g=g,
                                        buoyancy_sign=sign)
     ref_f1, ref_f2 = nested_forcings(model, beta=0.5, g=g, buoyancy_sign=sign)
-    s1, s2, sf2 = _symbolic_case(case)
+    sym_f = _symbolic_case(case)
     pts = _quad_points(n)
     x, y = pts[..., 0], pts[..., 1]
+
+    def check(got, ref, exact, what):
+        for want, label, tol in ((ref, "nested", 1e-8), (exact, "sympy", 1e-12)):
+            assert got.shape == want.shape
+            err = np.max(np.abs(got - want))
+            assert err < tol, f"{what} vs {label}: {err:.3e}"
+        err = np.max(np.abs(ref - exact))
+        assert err < 1e-8, f"{what}, nested vs sympy: {err:.3e}"
+
     for t in (0.0, 1e-3, 0.02, 0.1, 0.3):
-        tab = (problem.f1(pts, t), problem.f2(pts, t))
-        ref = (ref_f1(pts, t), ref_f2(pts, t))
-        exact = (np.stack([s1(x, y, t), s2(x, y, t)], axis=-1), sf2(x, y, t))
-        for got, want, label in ((tab, ref, "nested"), (tab, exact, "sympy"),
-                                 (ref, exact, "nested vs sympy")):
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                err = np.max(np.abs(a - b))
-                assert err < 1e-8, f"{label} at t={t}: {err:.3e}"
+        check(problem.f1(pts, t), ref_f1(pts, t),
+              np.stack([sym_f["f1_1"](x, y, t), sym_f["f1_2"](x, y, t)],
+                       axis=-1), f"f1 at t={t}")
+        check(problem.f2(pts, t), ref_f2(pts, t), sym_f["f2"](x, y, t),
+              f"f2 at t={t}")
+        check(oracles.exact_rot(pts, t),
+              np.asarray(rot_z(pts, t), dtype=float), sym_f["rot"](x, y, t),
+              f"rot at t={t}")
+        for side, (nx, ny) in _SIDE_NORMALS.items():
+            edge = _edge_points(side, m=4 * n + 1)[1:-1]   # corners excluded
+            ex, ey = edge[:, 0], edge[:, 1]
+            check(problem.v2(edge, t), nested_v2(model, edge, t),
+                  nx * sym_f["flux_x"](ex, ey, t)
+                  + ny * sym_f["flux_y"](ex, ey, t), f"v2 {side} at t={t}")
 
 
 def test_exact_fields_separate_in_time():
-    # the stencil tables are taken at t=0 and scaled by exp(-t): a term
-    # that is not a spatial field times exp(-t) must fail here
+    # the forcings differentiate the t=0 fields and scale them by
+    # exp(-t): a term that is not a spatial field times exp(-t) must
+    # fail here
     rng = np.random.default_rng(3)
     for dtype in (float, np.longdouble):
         pts = rng.uniform(0.0, 1.0, size=(50, 2)).astype(dtype)
@@ -210,52 +230,6 @@ def test_exact_fields_separate_in_time():
                 decay = np.exp(np.asarray(-t, dtype=dtype))
                 np.testing.assert_allclose(fn(pts, t), decay * base,
                                            rtol=1e-15, atol=0.0)
-
-
-def _assert_matches_nested(problem, ref, pts, t):
-    for got, want in ((problem.f1(pts, t), ref[0](pts, t)),
-                      (problem.f2(pts, t), ref[1](pts, t))):
-        assert np.max(np.abs(got - want)) < 1e-8
-
-
-def test_stencil_table_follows_point_content():
-    model = _tanh_model()
-    problem = oracles.make_mms_problem(model, beta=0.5)
-    ref = nested_forcings(model, beta=0.5)
-    rng = np.random.default_rng(5)
-    a = rng.uniform(0.1, 0.9, size=(6, 7, 2))
-    b = rng.uniform(0.1, 0.9, size=(6, 7, 2))
-    assert not np.allclose(problem.f1(a, 0.05), problem.f1(b, 0.05))
-    _assert_matches_nested(problem, ref, a, 0.05)
-    _assert_matches_nested(problem, ref, b, 0.05)
-
-    # an in-place change of the caller's array is a new point set
-    before = problem.f2(a, 0.1)
-    a[..., 0] = 1.0 - a[..., 0]
-    assert not np.allclose(problem.f2(a, 0.1), before)
-    _assert_matches_nested(problem, ref, a, 0.1)
-
-
-def test_stencil_table_is_read_only_and_shared():
-    pts = np.random.default_rng(9).uniform(0.1, 0.9, size=(5, 2))
-    oracles.make_mms_problem(constant_model(1.0, 1.0)).f1(pts, 0.0)
-    table = oracles._stencil_table(pts.copy())
-    # the table does not depend on the model: a second problem reuses it
-    oracles.make_mms_problem(_tanh_model()).f2(pts, 0.2)
-    assert oracles._stencil_table(pts) is table
-    for arr in table:
-        assert arr.dtype == np.longdouble
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        table.w_s[...] = 0.0
-
-
-def test_stencil_table_cache_is_bounded():
-    problem = oracles.make_mms_problem(constant_model(1.0, 1.0))
-    rng = np.random.default_rng(13)
-    for _ in range(3 * oracles._TABLE_CACHE_SIZE):
-        problem.f1(rng.uniform(0.1, 0.9, size=(3, 2)), 0.0)
-    assert len(oracles._TABLES) == oracles._TABLE_CACHE_SIZE
 
 
 def test_flux_datum_closes_weak_identity(spaces_4x4):
