@@ -6,9 +6,11 @@ with the fresh temperature driving buoyancy and viscosity.  An optional
 Picard loop repeats both stages at the latest iterates, converging to
 the fully implicit scheme.  Skew advection plus SPD implicit diffusion
 make the unforced energies non-increasing at every pass, so the loop
-never needs damping at desk scale.  The first pass of a step factors the
-saddle system; later passes solve it by GMRES preconditioned with that
-factor and refactor only when GMRES misses its tolerance.
+never needs damping at desk scale.  The saddle system is factored once on
+the first pass of a run; every later pass, in the same step or a later
+one, solves it by GMRES preconditioned with that factor and started from
+the previous saddle solution, and refactors only when GMRES misses its
+tolerance.
 """
 
 from __future__ import annotations
@@ -216,9 +218,57 @@ class _Layout:
                               kept[self.indptr]), shape=self.shape)
 
 
+# Picard passes after the first of a run solve the saddle system by GMRES
+# preconditioned with the factor taken on the last direct solve.
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_RESTART = 15
+_KRYLOV_MAXITER = 2     # two restart cycles: at most 30 iterations
+
+
+def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu,
+                  x0: np.ndarray) -> np.ndarray | None:
+    """GMRES preconditioned by lu from x0; None unless the true residual is tiny."""
+    # a given dtype spares scipy the LU solve it would spend probing for one
+    precond = spla.LinearOperator(system.shape, matvec=lu.solve,
+                                  dtype=system.dtype)
+    x, info = spla.gmres(system, rhs, x0=x0, rtol=_KRYLOV_RTOL, atol=0.0,
+                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
+                         M=precond)
+    if info != 0:
+        return None
+    # written so that a non-finite residual also rejects x
+    if not np.linalg.norm(system @ x - rhs) <= _KRYLOV_RTOL * np.linalg.norm(rhs):
+        return None
+    return x
+
+
+class _LaggedFactor:
+    """Holds a saddle factor and the last saddle solution across passes and steps.
+
+    Viscosity moves by O(dt) between saddle solves, so one factor
+    preconditions the solves of many steps; it is replaced only when
+    GMRES misses its true-residual check.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.x = None
+
+    def solve(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is not None:
+            x = _krylov_solve(system, rhs, self.lu, self.x)
+            if x is not None:
+                self.x = x
+                return x
+            self.lu = None      # release the stale factor before refactoring
+        self.lu = spla.splu(system)
+        self.x = self.lu.solve(rhs)
+        return self.x
+
+
 @dataclass(frozen=True)
 class _Operators:
-    """State-independent matrices and system layouts reused across steps."""
+    """Matrices, system layouts and the saddle factor reused across steps."""
 
     mass_velocity: sp.csr_matrix
     mass_temperature: sp.csr_matrix
@@ -226,6 +276,7 @@ class _Operators:
     buoyancy: sp.csr_matrix
     temperature_layout: _Layout
     saddle_layout: _Layout
+    saddle_factor: _LaggedFactor = field(default_factory=_LaggedFactor)
 
 
 def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
@@ -246,43 +297,6 @@ def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
             [(spaces.velocity_pattern, 0, 0, False), (div, 0, nv, True),
              (div, nv, 0, False)],
             spaces.fixed_velocity_dofs))
-
-
-# Later Picard passes of a step solve the saddle system by GMRES
-# preconditioned with the factor taken on the step's first pass.
-_KRYLOV_RTOL = 1e-12
-_KRYLOV_RESTART = 15
-_KRYLOV_MAXITER = 1     # one restart cycle: at most 15 iterations
-
-
-def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu) -> np.ndarray | None:
-    """GMRES preconditioned by lu; None unless the true residual is tiny."""
-    precond = spla.LinearOperator(system.shape, matvec=lu.solve)
-    x, info = spla.gmres(system, rhs, rtol=_KRYLOV_RTOL, atol=0.0,
-                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
-                         M=precond)
-    if info != 0:
-        return None
-    # written so that a non-finite residual also rejects x
-    if not np.linalg.norm(system @ x - rhs) <= _KRYLOV_RTOL * np.linalg.norm(rhs):
-        return None
-    return x
-
-
-class _LaggedFactor:
-    """Holds the saddle factor of one step for reuse on its later passes."""
-
-    def __init__(self):
-        self.lu = None
-
-    def solve(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        if self.lu is not None:
-            x = _krylov_solve(system, rhs, self.lu)
-            if x is not None:
-                return x
-            self.lu = None      # release the stale factor before refactoring
-        self.lu = spla.splu(system)
-        return self.lu.solve(rhs)
 
 
 def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
@@ -348,7 +362,12 @@ def _increment(new: np.ndarray, old: np.ndarray) -> float:
 def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
          state: State, t_next: float | None = None,
          operators: _Operators | None = None) -> tuple[State, Diagnostics]:
-    """One backward-Euler update: heat stage, then velocity/head saddle."""
+    """One backward-Euler update: heat stage, then velocity/head saddle.
+
+    Without operators the step builds its own, so it factors the saddle
+    system afresh; run passes one set to every step, and with it the
+    saddle factor.
+    """
     ops = operators if operators is not None else build_operators(spaces, problem)
     t_new = state.t + config.dt if t_next is None else t_next
 
@@ -357,7 +376,6 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
 
     z_coeff, w_coeff = state.z, state.w
     z_new = w_new = p_new = None
-    lagged = _LaggedFactor()
     passes = 0
     converged = True
     while True:
@@ -366,7 +384,7 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                                    state.w.values, z_coeff, w_coeff, load_w)
         z_next, p_next = _velocity_pass(spaces, problem, config, ops,
                                         state.z.values, z_coeff, w_next, load_z,
-                                        lagged)
+                                        ops.saddle_factor)
         if z_new is not None:
             rel = max(_increment(z_next, z_new), _increment(w_next, w_new))
         else:

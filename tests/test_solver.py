@@ -335,45 +335,29 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _mms_run(spaces):
+def _mms_case():
     model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.8, 1.2))
     problem = oracles.make_mms_problem(model, beta=1.0)
-    return run(spaces, problem, SolverConfig(dt=0.01, t_end=0.04))
+    return problem, SolverConfig(dt=0.01, t_end=0.04)
 
 
-def test_lagged_factor_matches_fresh_factoring_pass_for_pass():
-    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
-    with pytest.MonkeyPatch.context() as mp:
-        gmres_calls = _count_calls(mp, "gmres")
-        lagged_states, lagged_diags = _mms_run(spaces)
-    with pytest.MonkeyPatch.context() as mp:
-        _gmres_never_converges(mp)
-        fresh_states, fresh_diags = _mms_run(spaces)
+def _mms_run(spaces):
+    return run(spaces, *_mms_case())
 
-    passes = [d.picard_iters for d in lagged_diags]
-    assert passes == [d.picard_iters for d in fresh_diags]
-    # every pass after the first of each step went through GMRES
-    assert len(gmres_calls) == sum(passes) - len(passes) > 0
-    for a, b in zip(lagged_states[1:], fresh_states[1:]):
+
+def _assert_states_close(states, reference):
+    for a, b in zip(states[1:], reference[1:]):
         for name in ("z", "w", "P"):
             gap = getattr(a, name).values - getattr(b, name).values
             assert np.max(np.abs(gap)) < 1e-10
 
 
-def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
-    _gmres_never_converges(monkeypatch)
-    splu_calls = _count_calls(monkeypatch, "splu")
-    passes = _assert_step_matches_dense_oracle()
-    # one temperature and one saddle factorization on every pass
-    assert len(splu_calls) == 2 * passes
-
-
-def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
-                                                           monkeypatch):
-    _gmres_never_converges(monkeypatch)
-    saddle_dim = spaces_4x4.velocity_dim + spaces_4x4.head_dim
+def _track_saddle_factors(monkeypatch, spaces):
+    """Weak references to every saddle factor handed out, and how many of
+    them were alive at each saddle splu call."""
+    saddle_dim = spaces.velocity_dim + spaces.head_dim
     real_splu = spla.splu
-    factors = []        # weak references to every saddle factor handed out
+    factors = []
     live_at_splu = []
 
     class Factor:
@@ -394,6 +378,101 @@ def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
         return factor
 
     monkeypatch.setattr(spla, "splu", splu)
+    return factors, live_at_splu
+
+
+def test_lagged_factor_matches_fresh_factoring_pass_for_pass():
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    with pytest.MonkeyPatch.context() as mp:
+        gmres_calls = _count_calls(mp, "gmres")
+        lagged_states, lagged_diags = _mms_run(spaces)
+    with pytest.MonkeyPatch.context() as mp:
+        _gmres_never_converges(mp)
+        fresh_states, fresh_diags = _mms_run(spaces)
+
+    passes = [d.picard_iters for d in lagged_diags]
+    assert passes == [d.picard_iters for d in fresh_diags]
+    # every pass after the run's first went through GMRES
+    assert len(gmres_calls) == sum(passes) - 1 > 0
+    _assert_states_close(lagged_states, fresh_states)
+
+
+def test_run_factors_the_saddle_system_once(monkeypatch):
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    _, live_at_splu = _track_saddle_factors(monkeypatch, spaces)
+    states, diags = _mms_run(spaces)
+    assert len(diags) == 4 and sum(d.picard_iters for d in diags) > 4
+    assert len(live_at_splu) == 1
+
+    # a step without operators builds its own, and with them a fresh factor
+    live_at_splu.clear()
+    problem, config = _mms_case()
+    state = states[0]
+    for _ in range(3):
+        state, _ = step(spaces, problem, config, state)
+    assert len(live_at_splu) == 3
+
+
+def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    real_gmres, real_step = spla.gmres, solver.step
+    real_solve = solver._LaggedFactor.solve
+    solutions = []      # every saddle solution, in order
+    x0_gaps = []        # |x0 - previous saddle solution| of every GMRES call
+    call_steps = []     # 0-based index of the step of every GMRES call
+    steps_done = []
+
+    def gmres(A, b, *args, x0=None, **kwargs):
+        x0_gaps.append(np.max(np.abs(x0 - solutions[-1])))
+        call_steps.append(len(steps_done))
+        if call_steps[-1] == 1 and call_steps.count(1) == 2:
+            return np.zeros_like(b), 1      # the second GMRES call of step 2
+        return real_gmres(A, b, *args, x0=x0, **kwargs)
+
+    def lagged_solve(self, system, rhs):
+        x = real_solve(self, system, rhs)
+        solutions.append(x.copy())
+        return x
+
+    def counted_step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        steps_done.append(None)
+        return out
+
+    _, live_at_splu = _track_saddle_factors(monkeypatch, spaces)
+    monkeypatch.setattr(spla, "gmres", gmres)
+    monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
+    monkeypatch.setattr(solver, "step", counted_step)
+    states, diags = _mms_run(spaces)
+    monkeypatch.undo()
+
+    # the run's first pass factors and the failed GMRES call refactors,
+    # each with no stale factor alive
+    assert call_steps.count(1) > 2
+    assert live_at_splu == [0, 0]
+    passes = [d.picard_iters for d in diags]
+    assert len(x0_gaps) == sum(passes) - 1
+    assert all(gap == 0.0 for gap in x0_gaps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _gmres_never_converges(mp)
+        fresh_states, fresh_diags = _mms_run(spaces)
+    assert passes == [d.picard_iters for d in fresh_diags]
+    _assert_states_close(states, fresh_states)
+
+
+def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
+    _gmres_never_converges(monkeypatch)
+    splu_calls = _count_calls(monkeypatch, "splu")
+    passes = _assert_step_matches_dense_oracle()
+    # one temperature and one saddle factorization on every pass
+    assert len(splu_calls) == 2 * passes
+
+
+def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
+                                                           monkeypatch):
+    _gmres_never_converges(monkeypatch)
+    factors, live_at_splu = _track_saddle_factors(monkeypatch, spaces_4x4)
     _, diags = run(spaces_4x4, cavity_problem(), SolverConfig(dt=0.05, t_end=0.1))
     assert len(live_at_splu) == sum(d.picard_iters for d in diags)
     assert max(d.picard_iters for d in diags) > 1
