@@ -64,8 +64,10 @@ class BoundarySide:
 class FunctionSpaces:
     """Geometry, dof maps, constraints and quadrature tables for one mesh.
 
-    The CSR pattern of each operator pair is built on first use, not by
-    build_spaces, so a caller that assembles nothing does not pay for it.
+    The CSR pattern of each operator pair and the element geometry
+    (node-major P2 gradients, velocity diffusion table) are built on first
+    use, not by build_spaces, so a caller that assembles nothing does not
+    pay for them.  Every array is read-only, so no cached table goes stale.
     """
 
     mesh: Mesh
@@ -92,7 +94,8 @@ class FunctionSpaces:
 
     def __post_init__(self):
         for name in ("edges", "tri_edges", "node_coords", "vel_nodes",
-                     "vel_dofs", "areas", "quad_x", "quad_w",
+                     "vel_dofs", "areas", "quad_x", "quad_w", "p2_at_q",
+                     "p2_grad_at_q", "p1_at_q", "p1_grad",
                      "fixed_velocity_dofs", "fixed_temperature_dofs"):
             getattr(self, name).setflags(write=False)
 
@@ -116,6 +119,44 @@ class FunctionSpaces:
         return {"velocity": self.velocity_dim,
                 "temperature": self.temperature_dim,
                 "head": self.head_dim}[space]
+
+    @cached_property
+    def p2_grad_by_node(self) -> np.ndarray:
+        """P2 gradients node-major, (2, 6, nt, nq): [d, a] is d(phi_a)/d(x_d)."""
+        g = np.ascontiguousarray(self.p2_grad_at_q.transpose(3, 2, 0, 1))
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def diffusion_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """(table, expand): the mesh part of the velocity diffusion.
+
+        table[q, t] holds the 57 distinct values of rot phi_j rot phi_i +
+        div phi_j div phi_i at point q of triangle t: the x-x block's upper
+        triangle (21), then the x-y block (36).  The y-y block equals x-x
+        bit for bit, as (-a)(-b) = ab and addition commutes; y-x is the
+        transpose of x-y.  expand (12, 12) maps the interleaved element
+        block onto table columns.
+        """
+        g = self.p2_grad_at_q
+        nt, nq = g.shape[:2]
+        iu, ju = np.triu_indices(6)
+        table = np.empty((nq, nt, 57))
+        for q in range(nq):
+            gx, gy = g[:, q, :, 0], g[:, q, :, 1]
+            # rot is (-gy, gx) for x-component fields and div is (gx, gy)
+            table[q, :, :21] = gy[:, iu] * gy[:, ju] + gx[:, iu] * gx[:, ju]
+            table[q, :, 21:] = (_sym_outer(gx, gy)
+                                - _sym_outer(gy, gx)).reshape(nt, 36)
+        upper = np.empty((6, 6), dtype=np.intp)
+        upper[iu, ju] = upper[ju, iu] = np.arange(21)
+        xy = 21 + np.arange(36).reshape(6, 6)
+        expand = np.empty((12, 12), dtype=np.intp)
+        expand[0::2, 0::2] = expand[1::2, 1::2] = upper
+        expand[0::2, 1::2], expand[1::2, 0::2] = xy, xy.T
+        for arr in (table, expand):
+            arr.setflags(write=False)
+        return table, expand
 
     @cached_property
     def velocity_pattern(self) -> "Pattern":
@@ -334,36 +375,52 @@ def interpolate_scalar(spaces: FunctionSpaces, fn, t: float = 0.0,
     return FieldVector(space, vals)
 
 
+def _nodal_velocity(spaces: FunctionSpaces, z: FieldVector):
+    """Per-triangle nodal values of the two velocity components, (nt, 6) each."""
+    v = _expect(spaces, z, "velocity")
+    return v[2 * spaces.vel_nodes], v[2 * spaces.vel_nodes + 1]
+
+
 def velocity_at_quadrature(spaces: FunctionSpaces, z: FieldVector) -> np.ndarray:
     """Values of a velocity field at all volume quadrature points, (nt, nq, 2)."""
-    v = _expect(spaces, z, "velocity")
-    zx = v[2 * spaces.vel_nodes]
-    zy = v[2 * spaces.vel_nodes + 1]
+    zx, zy = _nodal_velocity(spaces, z)
     out = np.empty(spaces.quad_x.shape)
     out[..., 0] = np.einsum("qa,ta->tq", spaces.p2_at_q, zx)
     out[..., 1] = np.einsum("qa,ta->tq", spaces.p2_at_q, zy)
     return out
 
 
+def _partial(spaces: FunctionSpaces, zc: np.ndarray, d: int) -> np.ndarray:
+    """d(z_c)/d(x_d) at quadrature points, (nt, nq), from nodal values zc.
+
+    Summed node by node into +0.0, as the einsum it replaced did: a sum
+    started from the first product is -0.0 where all six products are
+    -0.0, as in a zero field whose zeros carry signs.
+    """
+    g = spaces.p2_grad_by_node[d]
+    out = np.zeros(g.shape[1:])
+    for a in range(6):
+        out += g[a] * zc[:, a, None]
+    return out
+
+
 def velocity_grad_at_quadrature(spaces: FunctionSpaces, z: FieldVector) -> np.ndarray:
     """Gradients d(z_c)/d(x_d) at quadrature points, (nt, nq, 2, 2)."""
-    v = _expect(spaces, z, "velocity")
-    zx = v[2 * spaces.vel_nodes]
-    zy = v[2 * spaces.vel_nodes + 1]
     out = np.empty(spaces.quad_x.shape[:2] + (2, 2))
-    out[..., 0, :] = np.einsum("tqad,ta->tqd", spaces.p2_grad_at_q, zx)
-    out[..., 1, :] = np.einsum("tqad,ta->tqd", spaces.p2_grad_at_q, zy)
+    for c, zc in enumerate(_nodal_velocity(spaces, z)):
+        for d in (0, 1):
+            out[..., c, d] = _partial(spaces, zc, d)
     return out
 
 
 def rot_at_quadrature(spaces: FunctionSpaces, z: FieldVector) -> np.ndarray:
-    g = velocity_grad_at_quadrature(spaces, z)
-    return g[..., 1, 0] - g[..., 0, 1]
+    zx, zy = _nodal_velocity(spaces, z)
+    return _partial(spaces, zy, 0) - _partial(spaces, zx, 1)
 
 
 def div_at_quadrature(spaces: FunctionSpaces, z: FieldVector) -> np.ndarray:
-    g = velocity_grad_at_quadrature(spaces, z)
-    return g[..., 0, 0] + g[..., 1, 1]
+    zx, zy = _nodal_velocity(spaces, z)
+    return _partial(spaces, zx, 0) + _partial(spaces, zy, 1)
 
 
 def scalar_at_quadrature(spaces: FunctionSpaces, f: FieldVector) -> np.ndarray:
@@ -478,19 +535,6 @@ def _scatter(loc: np.ndarray, pattern: Pattern) -> sp.csr_matrix:
     return pattern.matrix(_summed(loc, pattern))
 
 
-def _vector_rot_div(spaces):
-    """Rot and div of the 12 local velocity basis fields at quadrature points."""
-    g = spaces.p2_grad_at_q                           # (nt, nq, 6, 2)
-    nt, nq = g.shape[:2]
-    rot = np.empty((nt, nq, 12))
-    div = np.empty((nt, nq, 12))
-    rot[..., 0::2] = -g[..., 1]                       # x-component basis
-    rot[..., 1::2] = g[..., 0]                        # y-component basis
-    div[..., 0::2] = g[..., 0]
-    div[..., 1::2] = g[..., 1]
-    return rot, div
-
-
 def assemble_mass(spaces: FunctionSpaces, which: str) -> sp.csr_matrix:
     """L2 mass matrix of the velocity or temperature space."""
     if which == "velocity":
@@ -515,13 +559,11 @@ def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
     """
     w_q = scalar_at_quadrature(spaces, w_h)
     w = spaces.quad_w * model.viscosity(w_q)
-    rot, div = _vector_rot_div(spaces)
-    # one quadrature point at a time keeps temporaries at (nt, 12, 12)
-    loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
+    table, expand = spaces.diffusion_geometry
+    acc = np.zeros(table.shape[1:])
     for q in range(w.shape[1]):
-        loc += w[:, q, None, None] * (_sym_outer(rot[:, q])
-                                      + _sym_outer(div[:, q]))
-    return _scatter(loc, spaces.velocity_pattern)
+        acc += w[:, q, None] * table[q]
+    return _scatter(acc[:, expand], spaces.velocity_pattern)
 
 
 def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
@@ -537,7 +579,8 @@ def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
 
 def assemble_divergence_constraint(spaces: FunctionSpaces) -> sp.csr_matrix:
     """Matrix D with D[k, j] = integral(q_k div phi_j); rows are head dofs."""
-    _, div = _vector_rot_div(spaces)
+    # div of the interleaved basis field 2a + d is d(phi_a)/d(x_d)
+    div = spaces.p2_grad_at_q.reshape(spaces.quad_w.shape + (12,))
     loc = np.einsum("tq,qk,tqj->tkj", spaces.quad_w, spaces.p1_at_q, div)
     return _scatter(loc, spaces.divergence_pattern)
 
@@ -565,7 +608,8 @@ def assemble_temperature_advection(spaces: FunctionSpaces,
             - 1/2 integral((z_h . grad mu_i) mu_j).
     """
     z_q = velocity_at_quadrature(spaces, z_h)
-    zg = np.einsum("tqd,tad->tqa", z_q, spaces.p1_grad)
+    g = spaces.p1_grad
+    zg = z_q[..., 0, None] * g[:, None, :, 0] + z_q[..., 1, None] * g[:, None, :, 1]
     loc = np.einsum("tq,qi,tqj->tij", spaces.quad_w, spaces.p1_at_q, zg)
     pattern = spaces.temperature_pattern
     one_sided = _summed(loc, pattern)

@@ -15,6 +15,7 @@ from bgs.forms import FieldVector
 
 import helpers_coo as hc
 import helpers_dense as hd
+import helpers_kernels as hk
 
 
 def _random_field(spaces, space, rng, zero_fixed=False):
@@ -198,6 +199,61 @@ def test_assembly_matches_coo_scatter_bit_for_bit(mesh):
         _assert_same_csr(assemble(s, *args), hc.coo_assembled(assemble, s, *args))
     assert np.signbit(forms.assemble_velocity_advection(s, z_zero).data).any()
     assert forms.assemble_temperature_advection(s, z_zero).nnz == 0
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", ["tanh", "constant"])
+@pytest.mark.parametrize("mesh", sorted(_BIT_MESHES))
+def test_cached_geometry_matches_einsum_kernels_bit_for_bit(mesh, model):
+    s = build_spaces(build_rectangle_mesh(*_BIT_MESHES[mesh]))
+    rng = np.random.default_rng(sum(_BIT_MESHES[mesh][:2]) + 1)
+    model = _TANH_MODEL if model == "tanh" else constant_model(1.3, 0.7)
+    v = _random_field(s, "velocity", rng)
+    # a zero field whose zeros carry random signs: the einsum sums from
+    # +0.0, so it stores +0.0 where all six products are -0.0
+    signed_zero = FieldVector("velocity",
+                              np.copysign(0.0, rng.standard_normal(s.velocity_dim)))
+    for z in (_random_field(s, "velocity", rng), forms.zeros_field(s, "velocity"),
+              signed_zero):
+        for name in ("velocity_grad_at_quadrature", "rot_at_quadrature",
+                     "div_at_quadrature"):
+            _same_bytes(getattr(forms, name)(s, z), getattr(hk, name)(s, z))
+        _assert_same_csr(forms.assemble_velocity_advection(s, z),
+                         hk.with_einsum_rot(forms.assemble_velocity_advection, s, z))
+        _assert_same_csr(forms.assemble_temperature_advection(s, z),
+                         hk.assemble_temperature_advection(s, z))
+        for args in ((z, v, v), (v, z, v)):
+            _same_bytes(np.float64(forms.trilinear_b(s, *args)),
+                        np.float64(hk.with_einsum_rot(forms.trilinear_b, s, *args)))
+    for w in (_random_field(s, "temperature", rng),
+              forms.zeros_field(s, "temperature")):
+        _assert_same_csr(forms.assemble_velocity_diffusion(s, model, w),
+                         hk.assemble_velocity_diffusion(s, model, w))
+    _assert_same_csr(forms.assemble_divergence_constraint(s),
+                     hk.assemble_divergence_constraint(s))
+
+
+def test_element_tables_are_read_only_and_built_once():
+    s = build_spaces(build_rectangle_mesh(3, 3, ("left",)))
+    cached = ("p2_grad_by_node", "diffusion_geometry")
+    assert not any(name in vars(s) for name in cached)
+    w = forms.zeros_field(s, "temperature")
+    z = forms.zeros_field(s, "velocity")
+    forms.assemble_velocity_diffusion(s, _TANH_MODEL, w)
+    forms.rot_at_quadrature(s, z)
+    first = [vars(s)[name] for name in cached]
+    forms.assemble_velocity_diffusion(s, _TANH_MODEL, w)
+    forms.assemble_velocity_advection(s, z)
+    assert all(vars(s)[name] is table for name, table in zip(cached, first))
+    table, expand = s.diffusion_geometry
+    for arr in (s.p2_at_q, s.p2_grad_at_q, s.p1_at_q, s.p1_grad,
+                s.p2_grad_by_node, table, expand):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
 
 
 # ---------------------------------------------------------------------------
