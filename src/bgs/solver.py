@@ -8,9 +8,9 @@ the fully implicit scheme.  Skew advection plus SPD implicit diffusion
 make the unforced energies non-increasing at every pass, so the loop
 never needs damping at desk scale.  The saddle system is factored once on
 the first pass of a run; every later pass, in the same step or a later
-one, solves it by GMRES preconditioned with that factor and started from
-the previous saddle solution, and refactors only when GMRES misses its
-tolerance.
+one, solves it by GMRES right-preconditioned with that factor and started
+from the previous saddle solution, and refactors only when GMRES misses
+its true-residual tolerance.
 """
 
 from __future__ import annotations
@@ -227,15 +227,62 @@ _KRYLOV_MAXITER = 2     # two restart cycles: at most 30 iterations
 
 def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu,
                   x0: np.ndarray) -> np.ndarray | None:
-    """GMRES preconditioned by lu from x0; None unless the true residual is tiny."""
-    # a given dtype spares scipy the LU solve it would spend probing for one
-    precond = spla.LinearOperator(system.shape, matvec=lu.solve,
-                                  dtype=system.dtype)
-    x, info = spla.gmres(system, rhs, x0=x0, rtol=_KRYLOV_RTOL, atol=0.0,
-                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
-                         M=precond)
-    if info != 0:
-        return None
+    """Restarted GMRES right-preconditioned by lu, from x0; None unless the
+    true residual is tiny.
+
+    Each z_j = lu.solve(v_j) is kept beside its Arnoldi vector v_j (the
+    flexible form of Saad, 1993), so the update x += Z y needs no further
+    solve: a call costs one LU solve per iteration.  With right
+    preconditioning the Arnoldi residual |g_{j+1}| is that of system @ x
+    itself, and a cycle stops once it is below the tolerance.
+    """
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs)
+    stop = _KRYLOV_RTOL * rhs_norm
+    m = _KRYLOV_RESTART
+    x = x0.copy()
+    for _ in range(_KRYLOV_MAXITER):
+        r = rhs - system @ x
+        beta = np.linalg.norm(r)
+        if not beta > stop:         # converged, or a non-finite residual
+            break
+        v, z = [r / beta], []
+        h = np.zeros((m + 1, m))    # Hessenberg, triangularized by rotations
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        for j in range(m):
+            z.append(lu.solve(v[j]))
+            # a non-finite z would spread NaN and warnings through the basis
+            if not np.all(np.isfinite(z[j])):
+                return None
+            w = system @ z[j]
+            for i in range(j + 1):  # modified Gram-Schmidt
+                h[i, j] = v[i] @ w
+                w -= h[i, j] * v[i]
+            w_norm = np.linalg.norm(w)
+            h[j + 1, j] = w_norm
+            for i in range(j):
+                h[i, j], h[i + 1, j] = (cs[i] * h[i, j] + sn[i] * h[i + 1, j],
+                                        cs[i] * h[i + 1, j] - sn[i] * h[i, j])
+            denom = math.hypot(h[j, j], w_norm)
+            if denom == 0.0:        # singular: update from the columns before
+                z.pop()
+                break
+            cs[j], sn[j] = h[j, j] / denom, w_norm / denom
+            h[j, j], h[j + 1, j] = denom, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            # w_norm == 0 (lucky breakdown) gives g[j + 1] == 0 and stops here
+            if abs(g[j + 1]) <= stop:
+                break
+            v.append(w / w_norm)
+        k = len(z)
+        y = np.zeros(k)             # back substitution in the triangle
+        for i in reversed(range(k)):
+            y[i] = (g[i] - h[i, i + 1:k] @ y[i + 1:]) / h[i, i]
+        for y_i, z_i in zip(y, z):
+            x += y_i * z_i
     # written so that a non-finite residual also rejects x
     if not np.linalg.norm(system @ x - rhs) <= _KRYLOV_RTOL * np.linalg.norm(rhs):
         return None
@@ -245,9 +292,10 @@ def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu,
 class _LaggedFactor:
     """Holds a saddle factor and the last saddle solution across passes and steps.
 
-    Viscosity moves by O(dt) between saddle solves, so one factor
-    preconditions the solves of many steps; it is replaced only when
-    GMRES misses its true-residual check.
+    Viscosity moves by O(dt) between saddle solves, so one factor serves
+    as the right preconditioner of the solves of many steps, each started
+    from the last solution; it is replaced only when GMRES misses its
+    true-residual check.
     """
 
     def __init__(self):

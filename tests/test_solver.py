@@ -318,20 +318,18 @@ def test_single_step_matches_dense_oracle():
 # lagged saddle factor: GMRES on later Picard passes, direct fallback
 
 
-def _gmres_never_converges(monkeypatch):
-    def gmres(A, b, *args, **kwargs):
-        return np.zeros_like(b), 1
-    monkeypatch.setattr(spla, "gmres", gmres)
+def _krylov_never_converges(monkeypatch):
+    monkeypatch.setattr(solver, "_krylov_solve", lambda *args: None)
 
 
-def _count_calls(monkeypatch, name):
-    real = getattr(spla, name)
+def _count_calls(monkeypatch, name, module=spla):
+    real = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
-    monkeypatch.setattr(spla, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -361,7 +359,7 @@ def _track_saddle_factors(monkeypatch, spaces):
     live_at_splu = []
 
     class Factor:
-        """Weak-referenceable stand-in; a LinearOperator over it keeps it alive."""
+        """Weak-referenceable stand-in for the SuperLU object it wraps."""
 
         def __init__(self, lu):
             self._lu = lu
@@ -384,16 +382,16 @@ def _track_saddle_factors(monkeypatch, spaces):
 def test_lagged_factor_matches_fresh_factoring_pass_for_pass():
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
     with pytest.MonkeyPatch.context() as mp:
-        gmres_calls = _count_calls(mp, "gmres")
+        krylov_calls = _count_calls(mp, "_krylov_solve", solver)
         lagged_states, lagged_diags = _mms_run(spaces)
     with pytest.MonkeyPatch.context() as mp:
-        _gmres_never_converges(mp)
+        _krylov_never_converges(mp)
         fresh_states, fresh_diags = _mms_run(spaces)
 
     passes = [d.picard_iters for d in lagged_diags]
     assert passes == [d.picard_iters for d in fresh_diags]
     # every pass after the run's first went through GMRES
-    assert len(gmres_calls) == sum(passes) - 1 > 0
+    assert len(krylov_calls) == sum(passes) - 1 > 0
     _assert_states_close(lagged_states, fresh_states)
 
 
@@ -415,19 +413,19 @@ def test_run_factors_the_saddle_system_once(monkeypatch):
 
 def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
-    real_gmres, real_step = spla.gmres, solver.step
+    real_krylov, real_step = solver._krylov_solve, solver.step
     real_solve = solver._LaggedFactor.solve
     solutions = []      # every saddle solution, in order
     x0_gaps = []        # |x0 - previous saddle solution| of every GMRES call
     call_steps = []     # 0-based index of the step of every GMRES call
     steps_done = []
 
-    def gmres(A, b, *args, x0=None, **kwargs):
+    def krylov(system, rhs, lu, x0):
         x0_gaps.append(np.max(np.abs(x0 - solutions[-1])))
         call_steps.append(len(steps_done))
         if call_steps[-1] == 1 and call_steps.count(1) == 2:
-            return np.zeros_like(b), 1      # the second GMRES call of step 2
-        return real_gmres(A, b, *args, x0=x0, **kwargs)
+            return None                     # the second GMRES call of step 2
+        return real_krylov(system, rhs, lu, x0)
 
     def lagged_solve(self, system, rhs):
         x = real_solve(self, system, rhs)
@@ -440,7 +438,7 @@ def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
         return out
 
     _, live_at_splu = _track_saddle_factors(monkeypatch, spaces)
-    monkeypatch.setattr(spla, "gmres", gmres)
+    monkeypatch.setattr(solver, "_krylov_solve", krylov)
     monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
     monkeypatch.setattr(solver, "step", counted_step)
     states, diags = _mms_run(spaces)
@@ -455,14 +453,14 @@ def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
     assert all(gap == 0.0 for gap in x0_gaps)
 
     with pytest.MonkeyPatch.context() as mp:
-        _gmres_never_converges(mp)
+        _krylov_never_converges(mp)
         fresh_states, fresh_diags = _mms_run(spaces)
     assert passes == [d.picard_iters for d in fresh_diags]
     _assert_states_close(states, fresh_states)
 
 
 def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
-    _gmres_never_converges(monkeypatch)
+    _krylov_never_converges(monkeypatch)
     splu_calls = _count_calls(monkeypatch, "splu")
     passes = _assert_step_matches_dense_oracle()
     # one temperature and one saddle factorization on every pass
@@ -471,13 +469,120 @@ def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
 
 def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
                                                            monkeypatch):
-    _gmres_never_converges(monkeypatch)
+    _krylov_never_converges(monkeypatch)
     factors, live_at_splu = _track_saddle_factors(monkeypatch, spaces_4x4)
     _, diags = run(spaces_4x4, cavity_problem(), SolverConfig(dt=0.05, t_end=0.1))
     assert len(live_at_splu) == sum(d.picard_iters for d in diags)
     assert max(d.picard_iters for d in diags) > 1
     assert live_at_splu == [0] * len(live_at_splu)
     assert all(ref() is None for ref in factors)
+
+
+# ---------------------------------------------------------------------------
+# the GMRES of _krylov_solve, on a saddle system with a lagged factor
+
+
+class _CountingLU:
+    """Records every right side it is asked to solve."""
+
+    def __init__(self, solve):
+        self._solve = solve
+        self.solved = []
+
+    def solve(self, rhs):
+        self.solved.append(rhs.copy())
+        return self._solve(rhs)
+
+
+@pytest.fixture(scope="module")
+def lagged_saddle_call():
+    """(system, rhs, lu, x0) of the first GMRES call of step 2 of an 8x8
+    MMS run: the factor is the one taken on step 1's first pass."""
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    real_krylov = solver._krylov_solve
+    calls = []
+
+    def krylov(system, rhs, lu, x0):
+        calls.append((system, rhs.copy(), lu, x0.copy()))
+        return real_krylov(system, rhs, lu, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_krylov_solve", krylov)
+        _, diags = _mms_run(spaces)
+    return calls[diags[0].picard_iters - 1]
+
+
+def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
+        lagged_saddle_call):
+    system, rhs, lu, x0 = lagged_saddle_call
+    counted = _CountingLU(lu.solve)
+    x0_before = x0.copy()
+    x = solver._krylov_solve(system, rhs, counted, x0)
+    assert x is not None
+    assert np.linalg.norm(system @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    # only Arnoldi vectors are solved, one per iteration: unit vectors, the
+    # first along the initial residual, none along rhs
+    basis = np.array(counted.solved)
+    assert 1 <= len(basis) <= solver._KRYLOV_RESTART
+    assert np.allclose(np.linalg.norm(basis, axis=1), 1.0, rtol=0, atol=1e-12)
+    r0 = rhs - system @ x0
+    assert np.isclose(basis[0] @ r0, np.linalg.norm(r0), rtol=1e-12, atol=0)
+    cosines = basis @ rhs / np.linalg.norm(rhs)
+    assert np.all(np.abs(cosines) < 1 - 1e-8)
+    assert np.array_equal(x0, x0_before)
+
+
+def test_krylov_zero_rhs_returns_zeros_without_lu_solve(lagged_saddle_call):
+    system, rhs, lu, x0 = lagged_saddle_call
+    counted = _CountingLU(lu.solve)
+    x = solver._krylov_solve(system, np.zeros_like(rhs), counted, x0)
+    assert x is not None and not np.any(x)
+    assert counted.solved == []
+
+
+@pytest.mark.parametrize("fill, solves", [(np.nan, 1), (0.0, 2)])
+def test_krylov_degenerate_factor_gives_none_without_warning(
+        lagged_saddle_call, fill, solves):
+    # NaN stops the call at once; a zero solve makes the Hessenberg column
+    # zero, so each of the two cycles ends after one solve with no update
+    system, rhs, _, x0 = lagged_saddle_call
+    bad_lu = _CountingLU(lambda b: np.full_like(b, fill))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver._krylov_solve(system, rhs, bad_lu, x0) is None
+    assert len(bad_lu.solved) == solves
+
+
+def test_krylov_unrelated_factor_gives_none_within_budget(lagged_saddle_call):
+    system, rhs, _, x0 = lagged_saddle_call
+    rng = np.random.default_rng(3)
+    unrelated = spla.splu(sp.diags(rng.uniform(1.0, 2.0, len(rhs))).tocsc())
+    counted = _CountingLU(unrelated.solve)
+    x0_before = x0.copy()
+    assert solver._krylov_solve(system, rhs, counted, x0) is None
+    assert 0 < len(counted.solved) <= (solver._KRYLOV_RESTART
+                                       * solver._KRYLOV_MAXITER) == 30
+    assert np.array_equal(x0, x0_before)
+
+
+def test_krylov_exact_factor_stops_without_divide_warning(lagged_saddle_call):
+    system, rhs, _, x0 = lagged_saddle_call
+    exact = _CountingLU(spla.splu(system).solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solver._krylov_solve(system, rhs, exact, np.zeros_like(x0))
+    assert x is not None and len(exact.solved) == 1
+
+    # the identity on a unit vector: the new Arnoldi direction is exactly 0
+    n = 5
+    identity = sp.identity(n, format="csc")
+    exact = _CountingLU(spla.splu(identity).solve)
+    rhs = np.zeros(n)
+    rhs[2] = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solver._krylov_solve(identity, rhs, exact, np.zeros(n))
+    assert np.array_equal(x, rhs) and len(exact.solved) == 1
 
 
 # ---------------------------------------------------------------------------
