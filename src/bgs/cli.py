@@ -333,10 +333,7 @@ def _resolve_constants(cfg, spaces):
     """Returns (constants dict, source string)."""
     raw = cfg["solver"]["constants"]
     if raw == "estimate":
-        try:
-            return solver.estimate_constants(spaces), "estimated"
-        except ValueError as exc:
-            raise ConfigError(f"solver.constants: {exc}") from exc
+        return solver.estimate_constants(spaces), "estimated"
     source = "config" if cfg.get("_constants_given") else "defaults"
     return {k: float(v) for k, v in raw.items()}, source
 

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -508,8 +507,8 @@ def compute_diagnostics(spaces: FunctionSpaces, state: State, constants,
         picard_converged=picard_converged)
 
 
-def _dense_free(matrix: sp.spmatrix, keep: np.ndarray) -> np.ndarray:
-    return matrix.tocsr()[keep][:, keep].toarray()
+def _free_block(matrix: sp.spmatrix, keep: np.ndarray) -> sp.csc_matrix:
+    return matrix.tocsr()[keep][:, keep].tocsc()
 
 
 def _free_velocity_dofs(spaces: FunctionSpaces) -> np.ndarray:
@@ -517,64 +516,68 @@ def _free_velocity_dofs(spaces: FunctionSpaces) -> np.ndarray:
                         spaces.fixed_velocity_dofs)
 
 
-def _divergence_free_basis(spaces: FunctionSpaces, free_v) -> np.ndarray:
-    """Orthonormal basis of the divergence-free fields on the free dofs."""
-    if spaces.velocity_dim > 3000:
-        raise ValueError("estimate_constants needs a coarse mesh "
-                         f"(velocity dim {spaces.velocity_dim} > 3000)")
-    d_free = forms.assemble_divergence_constraint(spaces).toarray()[:, free_v]
-    null = scipy.linalg.null_space(d_free)
-    if null.shape[1] == 0:
-        raise np.linalg.LinAlgError(
-            "no discretely divergence-free velocity directions on this mesh")
-    return null
+def _divergence_free_solver(spaces: FunctionSpaces, free_v: np.ndarray,
+                            block: sp.spmatrix):
+    """u(r) from [[block, D^T], [D, 0]] [u; p] = [r; 0] on free dofs; one LU."""
+    d = forms.assemble_divergence_constraint(spaces).tocsr()[:, free_v]
+    lu = spla.splu(sp.bmat([[block, d.T], [d, None]], format="csc"))
+    pad = np.zeros(d.shape[0])
+    return lambda r: lu.solve(np.concatenate([r, pad]))[:len(free_v)]
 
 
 def estimate_constants(spaces: FunctionSpaces) -> dict:
     """Discrete stand-ins for the coercivity and Sobolev constants.
 
     c1: smallest generalized eigenvalue of the unit-coefficient rot-rot
-    plus div-div form against the H1 Gram, restricted to constrained,
-    discretely divergence-free velocity fields.  c1_prime: analogous for
-    the unit temperature stiffness.  d: L4/H1 ratio over the temperature
-    space, by ascent from the constant function and the x-ramp; a lower bound.
+    plus div-div form A against the H1 Gram H on constrained, discretely
+    divergence-free velocity fields.  With T mapping x to the u of
+    [[A, D^T], [D, 0]] [u; p] = [H x; 0], 1/c1 is the largest eigenvalue
+    of H T against H (ARPACK Lanczos).  c1_prime: the same minimum for the
+    unit temperature stiffness, by shift-invert at 0.  d: L4/H1 ratio over
+    the temperature space, by ascent from the constant function and the
+    x-ramp; a lower bound.  Raises LinAlgError when an eigensolve fails.
     """
-    free_v = _free_velocity_dofs(spaces)
-    return _constants_on_basis(spaces, free_v,
-                               _divergence_free_basis(spaces, free_v))
-
-
-def _constants_on_basis(spaces: FunctionSpaces, free_v: np.ndarray,
-                        null: np.ndarray) -> dict:
-    """estimate_constants with the divergence-free basis already built."""
     unit = constant_model(1.0, 1.0)
     zero_w = forms.zeros_field(spaces, "temperature")
-
-    a_unit = _dense_free(
-        forms.assemble_velocity_diffusion(spaces, unit, zero_w), free_v)
-    h_vel = _dense_free(forms.assemble_velocity_h1_gram(spaces), free_v)
-    c1 = float(scipy.linalg.eigh(null.T @ a_unit @ null,
-                                 null.T @ h_vel @ null,
-                                 eigvals_only=True)[0])
-
+    free_v = _free_velocity_dofs(spaces)
     free_t = np.setdiff1d(np.arange(spaces.temperature_dim),
                           spaces.fixed_temperature_dofs)
-    k_unit = _dense_free(
+    if len(free_t) < 2:     # ARPACK needs k=1 below the dimension
+        raise np.linalg.LinAlgError("fewer than two free temperature dofs")
+    a_unit = _free_block(
+        forms.assemble_velocity_diffusion(spaces, unit, zero_w), free_v)
+    h_vel = _free_block(forms.assemble_velocity_h1_gram(spaces), free_v)
+    k_unit = _free_block(
         forms.assemble_temperature_diffusion(spaces, unit, zero_w), free_t)
-    h_tmp = _dense_free(forms.assemble_temperature_h1_gram(spaces), free_t)
-    c1_prime = float(scipy.linalg.eigh(k_unit, h_tmp, eigvals_only=True)[0])
-
-    return {"c1": c1, "c1_prime": c1_prime, "d": _sobolev_ratio_ascent(spaces)}
+    h_tmp = _free_block(forms.assemble_temperature_h1_gram(spaces), free_t)
+    try:    # eigsh factors h_vel and k_unit itself
+        project = _divergence_free_solver(spaces, free_v, a_unit)
+        mu, x = spla.eigsh(
+            spla.LinearOperator(h_vel.shape, dtype=float,
+                                matvec=lambda v: h_vel @ project(h_vel @ v)),
+            k=1, M=h_vel, which="LA", tol=1e-12, v0=np.ones(len(free_v)))
+        c1_prime = spla.eigsh(k_unit, k=1, M=h_tmp, sigma=0,
+                              v0=np.ones(len(free_t)),
+                              return_eigenvectors=False)[0]
+    except RuntimeError as exc:   # singular factor or no ARPACK convergence
+        raise np.linalg.LinAlgError(f"constants eigensolve: {exc}") from exc
+    # on a true eigenpair u = T x = mu x, with A-to-H Rayleigh quotient 1/mu
+    u = project(h_vel @ x[:, 0])
+    if not abs(mu[0] * (u @ (a_unit @ u)) / (u @ (h_vel @ u)) - 1.0) < 1e-8:
+        raise np.linalg.LinAlgError(
+            "no discretely divergence-free velocity directions on this mesh")
+    return {"c1": float(1.0 / mu[0]), "c1_prime": float(c1_prime),
+            "d": _sobolev_ratio_ascent(spaces)}
 
 
 def _sobolev_ratio_ascent(spaces: FunctionSpaces) -> float:
     """Maximize ||f||_L4 / ||f||_H1 over the discrete temperature space."""
-    gram = forms.assemble_temperature_h1_gram(spaces).toarray()
+    gram = forms.assemble_temperature_h1_gram(spaces)
     n = spaces.temperature_dim
 
     def ratio(vec):
         f = FieldVector("temperature", vec)
-        return forms.l4_norm(spaces, f) / float(vec @ gram @ vec) ** 0.5
+        return forms.l4_norm(spaces, f) / float(vec @ (gram @ vec)) ** 0.5
 
     def l4_gradient(vec):
         # gradient of log ||f||_L4: r_i / q with q = sum w f^4, r_i = sum w f^3 N_i
@@ -589,13 +592,13 @@ def _sobolev_ratio_ascent(spaces: FunctionSpaces) -> float:
 
     best = 0.0
     for vec in (np.ones(n), spaces.mesh.vertices[:, 0]):
-        vec = vec / float(vec @ gram @ vec) ** 0.5
+        vec = vec / float(vec @ (gram @ vec)) ** 0.5
         cur = ratio(vec)
         alpha = 0.25
         for _ in range(200):
-            grad = l4_gradient(vec) - (gram @ vec) / float(vec @ gram @ vec)
+            grad = l4_gradient(vec) - (gram @ vec) / float(vec @ (gram @ vec))
             cand = vec + alpha * grad
-            cand = cand / float(cand @ gram @ cand) ** 0.5
+            cand = cand / float(cand @ (gram @ cand)) ** 0.5
             val = ratio(cand)
             if val >= cur:
                 vec, cur = cand, val

@@ -10,6 +10,10 @@ the package.
 """
 
 import numpy as np
+import scipy.linalg
+
+from bgs import forms
+from bgs.coefficients import constant_model
 
 MONO_P2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 MONO_P1 = [(0, 0), (1, 0), (0, 1)]
@@ -433,3 +437,41 @@ def dense_semi_implicit_step(mesh, problem, dt, t_new, z0, w0,
             break
         z_coeff, w_coeff = z_new, w_new
     return z_new, w_new, p_new, passes
+
+
+def dense_coercivity_constants(spaces):
+    """c1 and c1_prime by dense generalized eigensolves.
+
+    Unlike the rest of this module, this takes the package's assembled
+    matrices; what it checks independently is the eigensolve.  c1 is the
+    smallest eigenvalue of the unit rot-rot plus div-div form against the
+    H1 Gram on an orthonormal basis of the free, discretely divergence-free
+    velocity fields (scipy's dense null_space of D); c1_prime that of the
+    unit temperature stiffness against its H1 Gram on the free dofs.
+    """
+    unit = constant_model(1.0, 1.0)
+    zero_w = forms.zeros_field(spaces, "temperature")
+
+    def free_block(matrix, keep):
+        return matrix.tocsr()[keep][:, keep].toarray()
+
+    free_v = np.setdiff1d(np.arange(spaces.velocity_dim),
+                          spaces.fixed_velocity_dofs)
+    d_free = forms.assemble_divergence_constraint(spaces).toarray()[:, free_v]
+    null = scipy.linalg.null_space(d_free)
+    if null.shape[1] == 0:
+        raise np.linalg.LinAlgError(
+            "no discretely divergence-free velocity directions on this mesh")
+    a_unit = free_block(
+        forms.assemble_velocity_diffusion(spaces, unit, zero_w), free_v)
+    h_vel = free_block(forms.assemble_velocity_h1_gram(spaces), free_v)
+    c1 = scipy.linalg.eigh(null.T @ a_unit @ null, null.T @ h_vel @ null,
+                           eigvals_only=True)[0]
+
+    free_t = np.setdiff1d(np.arange(spaces.temperature_dim),
+                          spaces.fixed_temperature_dofs)
+    k_unit = free_block(
+        forms.assemble_temperature_diffusion(spaces, unit, zero_w), free_t)
+    h_tmp = free_block(forms.assemble_temperature_h1_gram(spaces), free_t)
+    c1_prime = scipy.linalg.eigh(k_unit, h_tmp, eigvals_only=True)[0]
+    return {"c1": float(c1), "c1_prime": float(c1_prime)}

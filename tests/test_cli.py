@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bgs import cli, oracles
 
@@ -238,6 +239,35 @@ def test_estimate_constants_artifacts(tmp_path):
     assert lines[0] == "c1,c1_prime,d"
     vals = [float(v) for v in lines[1].split(",")]
     assert vals[0] == pytest.approx(consts["c1"])
+
+
+def test_estimate_constants_at_n32(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, mesh={"nx": 32, "ny": 32})
+    assert cli.main(["estimate-constants", "--config", str(cfg)]) == 0
+    consts = json.loads((tmp_path / "out" / "constants.json").read_text())
+    assert consts["source"] == "estimated"
+    assert consts["c1"] == pytest.approx(0.9748256, abs=1e-6)
+    assert consts["c1_prime"] == pytest.approx(0.711641, abs=1e-6)
+
+
+def _no_arpack_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                   np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize("n, eigsh, message", [
+    (1, spla.eigsh, "no discretely divergence-free"),
+    (4, _no_arpack_convergence, "constants eigensolve: ARPACK error -1")])
+def test_estimate_constants_failure_exits_3(tmp_path, capsys, monkeypatch,
+                                            n, eigsh, message):
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, mesh={"nx": n, "ny": n})
+    assert cli.main(["estimate-constants", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR: numeric: {message}")
+    assert "Traceback" not in err
 
 
 def test_contract_zero_problem_passes(tmp_path, capsys):

@@ -214,10 +214,31 @@ def test_estimate_constants_positive_and_ordered():
     assert c_coarse["d"] >= 1.0 - 1e-12
 
 
-def test_estimate_constants_guards_problem_size():
-    big = build_spaces(build_rectangle_mesh(24, 24, ("left",)))
-    with pytest.raises(ValueError, match="coarse"):
-        estimate_constants(big)
+@pytest.mark.parametrize("n, sides", [(2, ("left",)), (4, ("left",)),
+                                      (8, ("left",)), (4, ("left", "top"))])
+def test_estimate_constants_match_dense_reference(n, sides):
+    spaces = build_spaces(build_rectangle_mesh(n, n, sides))
+    sparse = estimate_constants(spaces)
+    dense = hd.dense_coercivity_constants(spaces)
+    for key in ("c1", "c1_prime"):
+        assert sparse[key] == pytest.approx(dense[key], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sides, message", [
+    (("left",), "no discretely divergence-free velocity directions"),
+    (("left", "bottom"), "fewer than two free temperature dofs")])
+def test_estimate_constants_on_1x1_mesh_raises(sides, message):
+    spaces = build_spaces(build_rectangle_mesh(1, 1, sides))
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        estimate_constants(spaces)
+
+
+def test_estimate_constants_n32_refines_n16():
+    coarse, fine = (estimate_constants(
+        build_spaces(build_rectangle_mesh(n, n, ("left",)))) for n in (16, 32))
+    assert fine["c1"] <= coarse["c1"] + 1e-12
+    assert fine["c1_prime"] <= coarse["c1_prime"] + 1e-12
+    assert fine["c1"] == pytest.approx(0.9748256, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
