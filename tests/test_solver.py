@@ -607,6 +607,93 @@ def test_krylov_exact_factor_stops_without_divide_warning(lagged_saddle_call):
 
 
 # ---------------------------------------------------------------------------
+# the saddle factor: threshold pivoting, and the check of its direct solve
+
+
+def _relative_residual(system, x, rhs):
+    return np.linalg.norm(system @ x - rhs) / np.linalg.norm(rhs)
+
+
+def test_saddle_factor_cuts_fill_and_solves_to_tolerance(monkeypatch):
+    spaces = build_spaces(build_rectangle_mesh(16, 16, ("left",)))
+    saddle_dim = spaces.velocity_dim + spaces.head_dim
+    real_splu, real_solve = spla.splu, solver._LaggedFactor.solve
+    factored, rhs_seen = [], []
+
+    def splu(matrix, *args, **kwargs):
+        lu = real_splu(matrix, *args, **kwargs)
+        if matrix.shape[0] == saddle_dim:
+            factored.append((matrix, lu))
+        return lu
+
+    def lagged_solve(self, system, rhs):
+        rhs_seen.append(rhs.copy())
+        return real_solve(self, system, rhs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    problem = dataclasses.replace(cavity_problem(beta=1.0), model=model)
+    run(spaces, problem, SolverConfig(dt=0.01, t_end=0.01, picard_max=1))
+    monkeypatch.undo()
+
+    [(system, lu)] = factored
+    # 0.74x the L+U nonzeros of SuperLU's default partial pivoting
+    assert lu.nnz <= 0.8 * spla.splu(system).nnz
+    assert _relative_residual(system, lu.solve(rhs_seen[0]), rhs_seen[0]) <= 1e-12
+
+
+class _CapturedSystem:
+    """Stands in for the lagged factor of a pass and keeps what it is given."""
+
+    def solve(self, system, rhs):
+        self.system, self.rhs = system, rhs.copy()
+        return np.zeros_like(rhs)
+
+
+def _stress_saddle_system():
+    """(system, rhs) of a 16x16 saddle pass far from any run's: viscosity
+    1e-4, a random advecting velocity of size 100 and dt 100, so neither
+    the mass nor the diffusion term props up the diagonal."""
+    spaces = build_spaces(build_rectangle_mesh(16, 16, ("left",)))
+    problem = dataclasses.replace(cavity_problem(),
+                                  model=constant_model(1e-4, 1.0))
+    z = 100 * np.random.default_rng(0).standard_normal(spaces.velocity_dim)
+    z[spaces.fixed_velocity_dofs] = 0.0
+    captured = _CapturedSystem()
+    solver._velocity_pass(
+        spaces, problem, SolverConfig(dt=100.0, t_end=100.0),
+        solver.build_operators(spaces, problem), z,
+        forms.FieldVector("velocity", z), np.zeros(spaces.temperature_dim),
+        np.zeros(spaces.velocity_dim), captured)
+    return captured.system, captured.rhs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fresh_saddle_factor_polishes_a_direct_solve_that_misses(monkeypatch):
+    system, rhs = _stress_saddle_system()
+    direct = solver._factor_saddle(system).solve(rhs)
+    assert _relative_residual(system, direct, rhs) > 1e-12
+
+    real_splu = spla.splu
+    factors = []
+
+    def splu(matrix, *args, **kwargs):
+        factors.append(_CountingLU(real_splu(matrix, *args, **kwargs).solve))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    x = solver._LaggedFactor().solve(system, rhs)
+    assert _relative_residual(system, x, rhs) <= 1e-12
+    # the direct solve plus one GMRES iteration with the same factor
+    assert len(factors) == 1 and len(factors[0].solved) == 2
+
+    # when GMRES misses too, the direct solve stands as it is
+    monkeypatch.setattr(solver, "_krylov_solve", lambda *args: None)
+    assert np.array_equal(solver._LaggedFactor().solve(system, rhs), direct)
+
+
+# ---------------------------------------------------------------------------
 # fixed-pattern systems against the bmat + constrain passes they replaced
 
 
