@@ -59,6 +59,10 @@ class BoundarySide:
     normals: np.ndarray    # (m, 2) outward unit normals
     qx: np.ndarray         # (m, nq, 2) physical quadrature points
 
+    def __post_init__(self):
+        for name in ("verts", "mids", "lengths", "normals", "qx"):
+            getattr(self, name).setflags(write=False)
+
 
 @dataclass(frozen=True)
 class FunctionSpaces:
@@ -95,7 +99,8 @@ class FunctionSpaces:
     def __post_init__(self):
         for name in ("edges", "tri_edges", "node_coords", "vel_nodes",
                      "vel_dofs", "areas", "quad_x", "quad_w", "p2_at_q",
-                     "p2_grad_at_q", "p1_at_q", "p1_grad",
+                     "p2_grad_at_q", "p1_at_q", "p1_grad", "edge_s", "edge_w",
+                     "p2_trace", "p1_trace",
                      "fixed_velocity_dofs", "fixed_temperature_dofs"):
             getattr(self, name).setflags(write=False)
 
@@ -900,23 +905,41 @@ def _locate(spaces: FunctionSpaces, pts: np.ndarray):
     return tri, bary
 
 
+class PointEvaluator:
+    """Fields of one set of spaces at fixed points inside its mesh.
+
+    The points are located once (a brute-force search over all triangles),
+    so evaluating many fields at the same points costs only the
+    interpolation.
+    """
+
+    def __init__(self, spaces: FunctionSpaces, pts: np.ndarray):
+        self.spaces = spaces
+        tri, self._bary = _locate(spaces, np.asarray(pts, dtype=float))
+        self._vertices = spaces.mesh.triangles[tri]           # (n, 3)
+        ref = np.column_stack([self._bary[:, 1], self._bary[:, 2]])
+        self._p2_vals, _ = _p2_ref(ref)                       # (n, 6)
+        self._x_dofs = 2 * spaces.vel_nodes[tri]              # (n, 6)
+        self._y_dofs = self._x_dofs + 1
+
+    def velocity(self, z: FieldVector) -> np.ndarray:
+        v = _expect(self.spaces, z, "velocity")
+        out = np.empty((len(self._p2_vals), 2))
+        out[:, 0] = np.einsum("na,na->n", self._p2_vals, v[self._x_dofs])
+        out[:, 1] = np.einsum("na,na->n", self._p2_vals, v[self._y_dofs])
+        return out
+
+    def scalar(self, f: FieldVector) -> np.ndarray:
+        v = _expect(self.spaces, f, f.space)
+        return np.einsum("na,na->n", self._bary, v[self._vertices])
+
+
 def evaluate_velocity(spaces: FunctionSpaces, z: FieldVector,
                       pts: np.ndarray) -> np.ndarray:
     """Evaluate a velocity field at arbitrary points inside the mesh."""
-    v = _expect(spaces, z, "velocity")
-    tri, bary = _locate(spaces, np.asarray(pts, dtype=float))
-    ref = np.column_stack([bary[:, 1], bary[:, 2]])
-    vals, _ = _p2_ref(ref)                                # (n, 6)
-    nodes = spaces.vel_nodes[tri]                         # (n, 6)
-    out = np.empty((len(pts), 2))
-    out[:, 0] = np.einsum("na,na->n", vals, v[2 * nodes])
-    out[:, 1] = np.einsum("na,na->n", vals, v[2 * nodes + 1])
-    return out
+    return PointEvaluator(spaces, pts).velocity(z)
 
 
 def evaluate_scalar(spaces: FunctionSpaces, f: FieldVector,
                     pts: np.ndarray) -> np.ndarray:
-    v = _expect(spaces, f, f.space)
-    tri, bary = _locate(spaces, np.asarray(pts, dtype=float))
-    loc = v[spaces.mesh.triangles[tri]]
-    return np.einsum("na,na->n", bary, loc)
+    return PointEvaluator(spaces, pts).scalar(f)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse.linalg
@@ -85,6 +86,38 @@ def _spatial_parts(points) -> dict:
     }
 
 
+class _SpatialPartsCache:
+    """`_spatial_parts`, computed once per read-only point set.
+
+    The parts do not depend on t, and a solver step evaluates the forcing
+    on the same read-only quadrature and boundary point arrays at every
+    step.  Such arrays are recognised by identity; the cache holds them,
+    so an id is never reused while cached, and keeps only the last few.
+    What it hands out is read-only: a mapping proxy of frozen arrays.
+    Writable point sets are computed afresh on every call.
+    """
+
+    SIZE = 4
+
+    def __init__(self):
+        self._entries = {}      # id(points) -> (points, parts)
+
+    def __call__(self, points):
+        if not (isinstance(points, np.ndarray) and not points.flags.writeable):
+            return _spatial_parts(points)
+        hit = self._entries.get(id(points))
+        if hit is not None:
+            return hit[1]
+        parts = _spatial_parts(points)
+        for arr in parts.values():
+            arr.setflags(write=False)
+        if len(self._entries) >= self.SIZE:
+            del self._entries[next(iter(self._entries))]
+        frozen = MappingProxyType(parts)
+        self._entries[id(points)] = (points, frozen)
+        return frozen
+
+
 def exact_rot(points, t):
     """Vorticity d(z2)/dx - d(z1)/dy of the exact velocity, closed form."""
     return math.exp(-t) * _spatial_parts(points)["rot"]
@@ -143,9 +176,10 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
     """
     g_fn = as_vector_field(g)
     gamma, k = coeff_model.viscosity, coeff_model.conductivity
+    spatial_parts = _SpatialPartsCache()
 
     def f1(points, t):
-        d, e = _spatial_parts(points), math.exp(-t)
+        d, e = spatial_parts(points), math.exp(-t)
         z, w, om = e * d["z"], e * d["w"], e * d["rot"]
         w_x, w_y = e * d["w_x"], e * d["w_y"]
         gam, dgam = gamma(w), gamma.derivative(w)
@@ -157,7 +191,7 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         return -z + rot_m + adv + buoy - e * d["grad_p"]
 
     def f2(points, t):
-        d, e = _spatial_parts(points), math.exp(-t)
+        d, e = spatial_parts(points), math.exp(-t)
         z, w = e * d["z"], e * d["w"]
         w_x, w_y = e * d["w_x"], e * d["w_y"]
         div_flux = k.derivative(w) * (w_x ** 2 + w_y ** 2) \
@@ -173,7 +207,7 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         # plus pairing in the load makes this the datum that closes the
         # weak temperature equation
         n = _outward_normal(points)
-        d, e = _spatial_parts(points), math.exp(-t)
+        d, e = spatial_parts(points), math.exp(-t)
         return k(e * d["w"]) * e * (n[..., 0] * d["w_x"] + n[..., 1] * d["w_y"])
 
     return ProblemData(
@@ -318,14 +352,15 @@ class CauchyReport:
         return not self.failures
 
 
-def _interp_up(coarse: FunctionSpaces, fine: FunctionSpaces,
-               state: State) -> tuple:
-    """Represent a coarse state exactly in the nested fine spaces."""
-    zv = forms.evaluate_velocity(coarse, state.z, fine.node_coords)
-    z_up = np.empty(fine.velocity_dim)
+def _interp_up(at_nodes: forms.PointEvaluator,
+               at_vertices: forms.PointEvaluator, state: State) -> tuple:
+    """Represent a coarse state exactly in the nested fine spaces, from
+    evaluators at the fine P2 nodes and the fine vertices."""
+    zv = at_nodes.velocity(state.z)
+    z_up = np.empty(2 * len(zv))
     z_up[0::2] = zv[:, 0]
     z_up[1::2] = zv[:, 1]
-    w_up = forms.evaluate_scalar(coarse, state.w, fine.mesh.vertices)
+    w_up = at_vertices.scalar(state.w)
     return (FieldVector("velocity", z_up), FieldVector("temperature", w_up))
 
 
@@ -342,15 +377,20 @@ def cauchy_report(runs: RefinementRuns, dual_path: bool = False) -> CauchyReport
     worst_gap = 0.0
     for lc, lf in zip(runs.levels, runs.levels[1:]):
         coarse, fine = lc.spaces, lf.spaces
+        # locate each fine point set in the coarse mesh once per pair
+        at_nodes = forms.PointEvaluator(coarse, fine.node_coords)
+        at_vertices = forms.PointEvaluator(coarse, fine.mesh.vertices)
+        if dual_path:
+            at_quad = forms.PointEvaluator(coarse, fine.quad_x.reshape(-1, 2))
         dz, dw = [], []
         for sc, sf in zip(lc.states, lf.states):
-            z_up, w_up = _interp_up(coarse, fine, sc)
+            z_up, w_up = _interp_up(at_nodes, at_vertices, sc)
             dz_vec = FieldVector("velocity", sf.z.values - z_up.values)
             dw_vec = FieldVector("temperature", sf.w.values - w_up.values)
             dz.append(forms.l2_norm_sq(fine, dz_vec) ** 0.5)
             dw.append(forms.l2_norm_sq(fine, dw_vec) ** 0.5)
             if dual_path:
-                gap = _dual_path_gap(coarse, fine, sc, sf, dz[-1], dw[-1])
+                gap = _dual_path_gap(at_quad, fine, sc, sf, dz[-1], dw[-1])
                 worst_gap = max(worst_gap, gap)
         e_vel.append(_trapezoid_sq(dz, runs.config.dt))
         e_tmp.append(_trapezoid_sq(dw, runs.config.dt))
@@ -386,13 +426,13 @@ def cauchy_study(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
                                          gamma1_sides), dual_path=dual_path)
 
 
-def _dual_path_gap(coarse, fine, state_c, state_f, dz_ref, dw_ref) -> float:
-    """Relative disagreement of the difference norm computed on fine quadrature."""
-    pts = fine.quad_x.reshape(-1, 2)
-    zc = forms.evaluate_velocity(coarse, state_c.z, pts).reshape(fine.quad_x.shape)
+def _dual_path_gap(at_quad, fine, state_c, state_f, dz_ref, dw_ref) -> float:
+    """Relative disagreement of the difference norm computed on fine
+    quadrature; at_quad evaluates coarse fields at the fine points."""
+    zc = at_quad.velocity(state_c.z).reshape(fine.quad_x.shape)
     zf = forms.velocity_at_quadrature(fine, state_f.z)
     dz = float(np.sum(fine.quad_w * ((zf - zc) ** 2).sum(axis=-1))) ** 0.5
-    wc = forms.evaluate_scalar(coarse, state_c.w, pts).reshape(fine.quad_w.shape)
+    wc = at_quad.scalar(state_c.w).reshape(fine.quad_w.shape)
     wf = forms.scalar_at_quadrature(fine, state_f.w)
     dw = float(np.sum(fine.quad_w * (wf - wc) ** 2)) ** 0.5
     gap_z = abs(dz - dz_ref) / max(dz_ref, 1e-30)

@@ -6,15 +6,25 @@ with the fresh temperature driving buoyancy and viscosity.  An optional
 Picard loop repeats both stages at the latest iterates, converging to
 the fully implicit scheme.  Skew advection plus SPD implicit diffusion
 make the unforced energies non-increasing at every pass, so the loop
-never needs damping at desk scale.  The saddle system is factored once on
+never needs damping at desk scale.
+
+Both linear systems keep one factor for a whole run.  Each is factored on
 the first pass of a run; every later pass, in the same step or a later
 one, solves it by GMRES right-preconditioned with that factor and started
-from the previous saddle solution, and refactors only when GMRES misses
-its true-residual tolerance.  SuperLU factors the saddle system with
-threshold pivoting (a diagonal pivot stays unless it is 1000x smaller than
-its column's largest entry), which keeps COLAMD's fill-reducing order and
-cuts the L+U fill by about 30%; a fresh factor's direct solve that misses
-the tolerance is polished by GMRES with that factor.
+from the previous solution of the same system, and refactors only when
+GMRES misses its true-residual tolerance.  SuperLU factors the saddle
+system with threshold pivoting (a diagonal pivot stays unless it is 1000x
+smaller than its column's largest entry), which keeps COLAMD's
+fill-reducing order and cuts the L+U fill by about 30%; the temperature
+system keeps SuperLU's default.  A fresh factor's direct solve that
+misses the tolerance is polished by GMRES with that factor.
+
+From the second step of a run on, a step starts its Picard loop from the
+linear extrapolation 2 x_n - x_(n-1) of velocity and temperature, which
+is O(dt^2) from the new fixed point where the previous state is O(dt)
+(the extrapolated linearization of Baker, Dougalis & Karakashian, Math.
+Comp. 39, 1982).  The loop converges to the same fixed point; only pass
+counts and rounding change.
 """
 
 from __future__ import annotations
@@ -307,18 +317,26 @@ def _factor_saddle(system: sp.csc_matrix):
     return spla.splu(system, diag_pivot_thresh=_SADDLE_PIVOT_THRESH)
 
 
-class _LaggedFactor:
-    """Holds a saddle factor and the last saddle solution across passes and steps.
+def _factor_temperature(system: sp.csc_matrix):
+    """SuperLU factor of a temperature system, default pivoting."""
+    return spla.splu(system)
 
-    Viscosity moves by O(dt) between saddle solves, so one factor serves
-    as the right preconditioner of the solves of many steps, each started
-    from the last solution; it is replaced only when GMRES misses its
-    true-residual check.  The factor uses threshold pivoting, so a fresh
-    factor's direct solve is checked against the same true-residual
-    tolerance and polished by GMRES with that factor when it misses.
+
+class _LaggedFactor:
+    """Holds one system's factor and last solution across passes and steps.
+
+    Viscosity and conductivity move by O(dt) between solves, so one factor
+    serves as the right preconditioner of the solves of many steps, each
+    started from the last solution of the same system; it is replaced only
+    when GMRES misses its true-residual check.  factor maps a system to its
+    SuperLU factor: `_factor_saddle` by default, `_factor_temperature` for
+    the heat stage.  A fresh factor's direct solve is checked against the
+    same true-residual tolerance and polished by GMRES with that factor
+    when it misses, which the threshold-pivoted saddle factor can need.
     """
 
-    def __init__(self):
+    def __init__(self, factor=_factor_saddle):
+        self.factor = factor
         self.lu = None
         self.x = None
 
@@ -329,7 +347,7 @@ class _LaggedFactor:
                 self.x = x
                 return x
             self.lu = None      # release the stale factor before refactoring
-        self.lu = _factor_saddle(system)
+        self.lu = self.factor(system)
         x = self.lu.solve(rhs)
         # a non-finite x is left to the caller's DivergenceError; if GMRES
         # misses too, the direct solution stands
@@ -342,9 +360,23 @@ class _LaggedFactor:
         return x
 
 
+class _StepMemory:
+    """The state step last returned with a set of operators, and the state
+    that step started from: the two a following step extrapolates."""
+
+    def __init__(self):
+        self.start = None
+        self.end = None
+
+
 @dataclass(frozen=True)
 class _Operators:
-    """Matrices, system layouts and the saddle factor reused across steps."""
+    """What a run carries from step to step.
+
+    The fixed matrices and system layouts; one lagged factor per linear
+    system; and the memory of the last step, from which the next step
+    extrapolates its Picard start.
+    """
 
     mass_velocity: sp.csr_matrix
     mass_temperature: sp.csr_matrix
@@ -353,6 +385,9 @@ class _Operators:
     temperature_layout: _Layout
     saddle_layout: _Layout
     saddle_factor: _LaggedFactor = field(default_factory=_LaggedFactor)
+    temperature_factor: _LaggedFactor = field(
+        default_factory=lambda: _LaggedFactor(_factor_temperature))
+    last_step: _StepMemory = field(default_factory=_StepMemory)
 
 
 def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
@@ -376,15 +411,12 @@ def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
 
 
 def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
-                       stage: str, lagged: _LaggedFactor | None = None) -> np.ndarray:
-    """Solve with essential dofs eliminated; fresh LU unless lagged is given."""
+                       stage: str, lagged: _LaggedFactor) -> np.ndarray:
+    """Solve with essential dofs eliminated, through the lagged factor."""
     system = layout.system(*block_data)
     rhs = rhs * layout.mask
     try:
-        if lagged is None:
-            x = spla.splu(system).solve(rhs)
-        else:
-            x = lagged.solve(system, rhs)
+        x = lagged.solve(system, rhs)
     except RuntimeError as exc:
         raise SolverError(f"{stage} stage: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -408,7 +440,7 @@ def _temperature_pass(spaces, problem, config, ops, w_old, z_coeff, w_coeff,
     data += pattern.data_of(c_tilde)
     rhs = ops.mass_temperature @ w_old / config.dt + load
     return _solve_constrained(ops.temperature_layout, (data,), rhs,
-                              "temperature")
+                              "temperature", ops.temperature_factor)
 
 
 def _velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new,
@@ -440,9 +472,12 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
          operators: _Operators | None = None) -> tuple[State, Diagnostics]:
     """One backward-Euler update: heat stage, then velocity/head saddle.
 
-    Without operators the step builds its own, so it factors the saddle
-    system afresh; run passes one set to every step, and with it the
-    saddle factor.
+    Without operators the step builds its own, so it factors both systems
+    afresh and starts its Picard loop from state.  run passes one set to
+    every step, and with it both factors.  Given operators and the state
+    it returned last with them, a step starts from 2 x_n - x_(n-1) of
+    velocity and temperature, x_(n-1) being the state that step started
+    from; given any other state, it starts from that state.
     """
     ops = operators if operators is not None else build_operators(spaces, problem)
     t_new = state.t + config.dt if t_next is None else t_next
@@ -450,7 +485,14 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
     load_w = forms.assemble_temperature_load(spaces, problem.f2, problem.v2, t_new)
     load_z = forms.assemble_velocity_load(spaces, problem.f1, problem.v1, t_new)
 
-    z_coeff, w_coeff = state.z, state.w
+    memory = ops.last_step
+    if state is memory.end:
+        z_coeff = FieldVector("velocity",
+                              2.0 * state.z.values - memory.start.z.values)
+        w_coeff = FieldVector("temperature",
+                              2.0 * state.w.values - memory.start.w.values)
+    else:
+        z_coeff, w_coeff = state.z, state.w
     z_new = w_new = p_new = None
     passes = 0
     converged = True
@@ -481,6 +523,7 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                       z=FieldVector("velocity", z_new),
                       w=FieldVector("temperature", w_new),
                       P=FieldVector("head", p_new))
+    memory.start, memory.end = state, new_state
     diag = compute_diagnostics(spaces, new_state, config.constants_for_re_ra,
                                problem.model, picard_iters=passes,
                                picard_converged=converged,

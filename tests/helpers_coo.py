@@ -11,7 +11,6 @@ from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from bgs import forms, solver
 from bgs.forms import FieldVector
@@ -72,13 +71,10 @@ def constrain(matrix, rhs, fixed):
     return (dm @ matrix @ dm + sp.diags(ind)).tocsc(), rhs * mask
 
 
-def _solve_constrained(matrix, rhs, fixed, stage, lagged=None):
+def _solve_constrained(matrix, rhs, fixed, stage, lagged):
     system, rhs = constrain(matrix, rhs, fixed)
     try:
-        if lagged is None:
-            x = spla.splu(system).solve(rhs)
-        else:
-            x = lagged.solve(system, rhs)
+        x = lagged.solve(system, rhs)
     except RuntimeError as exc:
         raise solver.SolverError(f"{stage} stage: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -93,7 +89,7 @@ def temperature_pass(spaces, problem, config, ops, w_old, z_coeff, w_coeff,
     system = ops.mass_temperature / config.dt + a_k + c_tilde
     rhs = ops.mass_temperature @ w_old / config.dt + load
     return _solve_constrained(system, rhs, spaces.fixed_temperature_dofs,
-                              "temperature")
+                              "temperature", ops.temperature_factor)
 
 
 def velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new, load,

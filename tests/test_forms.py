@@ -256,6 +256,17 @@ def test_element_tables_are_read_only_and_built_once():
             arr[(0,) * arr.ndim] = 1
 
 
+def test_boundary_and_edge_arrays_are_read_only():
+    s = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
+    arrays = [s.edge_s, s.edge_w, s.p2_trace, s.p1_trace]
+    for side in (s.gamma1, s.gamma2):
+        arrays += [side.verts, side.mids, side.lengths, side.normals, side.qx]
+    for arr in arrays:
+        assert arr.size
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+
+
 # ---------------------------------------------------------------------------
 # mass matrices
 

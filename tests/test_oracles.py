@@ -216,6 +216,56 @@ def test_tabulated_forcing_matches_nested_stencil_and_symbolic(case, n):
                   + ny * sym_f["flux_y"](ex, ey, t), f"v2 {side} at t={t}")
 
 
+def test_forcing_computes_spatial_parts_once_per_read_only_point_set(
+        monkeypatch):
+    spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
+    problem = oracles.make_mms_problem(_tanh_model(), beta=0.5)
+    real_parts = oracles._spatial_parts
+    computed = []
+
+    def counted(points):
+        computed.append(points)
+        return real_parts(points)
+
+    monkeypatch.setattr(oracles, "_spatial_parts", counted)
+    def on_copies(fn):      # writable copies of the points are never cached
+        return lambda pts, t: fn(np.array(pts), t)
+
+    uncached = dataclasses.replace(problem, f1=on_copies(problem.f1),
+                                   f2=on_copies(problem.f2),
+                                   v2=on_copies(problem.v2))
+
+    def loads(data, t):
+        return (forms.assemble_temperature_load(spaces, data.f2, data.v2, t),
+                forms.assemble_velocity_load(spaces, data.f1, data.v1, t))
+
+    times = (0.0, 1e-3, 0.02)
+    for t in times:
+        for got, want in zip(loads(problem, t), loads(uncached, t)):
+            assert got.tobytes() == want.tobytes()
+    # quad_x and the GAMMA2 points once each, and every uncached call
+    assert sum(p is spaces.quad_x for p in computed) == 1
+    assert sum(p is spaces.gamma2.qx for p in computed) == 1
+    assert len(computed) == 2 + 3 * len(times)
+
+    cache = oracles._SpatialPartsCache()
+    parts = cache(spaces.quad_x)
+    assert cache(spaces.quad_x) is parts
+    with pytest.raises(TypeError):
+        parts["w"] = None
+    for arr in parts.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+    # only the last SIZE point sets stay
+    computed.clear()
+    others = [spaces.quad_x[k:] for k in range(1, cache.SIZE + 1)]
+    for pts in others:
+        cache(pts)
+    cache(spaces.quad_x)
+    cache(others[-1])
+    assert len(computed) == cache.SIZE + 1
+
+
 def test_exact_fields_separate_in_time():
     # the forcings differentiate the t=0 fields and scale them by
     # exp(-t): a term that is not a spatial field times exp(-t) must
@@ -355,6 +405,40 @@ def test_cauchy_study_structure_small(small_runs):
     assert report.dual_path_gap is not None
     assert report.dual_path_gap < 1e-10
     assert all(e > 0 for e in report.e_velocity + report.e_temperature)
+
+
+def test_cauchy_report_locates_each_point_set_once_per_pair(small_runs,
+                                                           monkeypatch):
+    real_locate = forms._locate
+    located = []
+
+    def counted(spaces, pts):
+        located.append(len(pts))
+        return real_locate(spaces, pts)
+
+    monkeypatch.setattr(forms, "_locate", counted)
+    report = oracles.cauchy_report(small_runs, dual_path=True)
+    monkeypatch.undo()
+    levels = small_runs.levels
+    # fine P2 nodes, fine vertices and fine quadrature points, per pair
+    assert len(located) == 3 * (len(levels) - 1)
+
+    # the distances equal those of locating the points for every state
+    for k, (lc, lf) in enumerate(zip(levels, levels[1:])):
+        fine = lf.spaces
+        dz, dw = [], []
+        for sc, sf in zip(lc.states, lf.states):
+            zv = forms.evaluate_velocity(lc.spaces, sc.z, fine.node_coords)
+            z_up = np.empty(fine.velocity_dim)
+            z_up[0::2], z_up[1::2] = zv[:, 0], zv[:, 1]
+            w_up = forms.evaluate_scalar(lc.spaces, sc.w, fine.mesh.vertices)
+            dz.append(forms.l2_norm_sq(fine, forms.FieldVector(
+                "velocity", sf.z.values - z_up)) ** 0.5)
+            dw.append(forms.l2_norm_sq(fine, forms.FieldVector(
+                "temperature", sf.w.values - w_up)) ** 0.5)
+        assert report.e_velocity[k] == oracles._trapezoid_sq(dz, SMALL_STUDY["dt"])
+        assert report.e_temperature[k] == oracles._trapezoid_sq(
+            dw, SMALL_STUDY["dt"])
 
 
 def test_cauchy_report_zero_distance_is_a_failure():

@@ -344,12 +344,13 @@ def _krylov_never_converges(monkeypatch):
 
 
 def _count_calls(monkeypatch, name, module=spla):
+    """The row count of the system handed to every call of module.name."""
     real = getattr(module, name)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counted(system, *args, **kwargs):
+        calls.append(system.shape[0])
+        return real(system, *args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -371,10 +372,9 @@ def _assert_states_close(states, reference):
             assert np.max(np.abs(gap)) < 1e-10
 
 
-def _track_saddle_factors(monkeypatch, spaces):
-    """Weak references to every saddle factor handed out, and how many of
-    them were alive at each saddle splu call."""
-    saddle_dim = spaces.velocity_dim + spaces.head_dim
+def _track_factors(monkeypatch, dim):
+    """Weak references to every factor of a dim-row system handed out, and
+    how many of them were alive at each splu call for such a system."""
     real_splu = spla.splu
     factors = []
     live_at_splu = []
@@ -389,7 +389,7 @@ def _track_saddle_factors(monkeypatch, spaces):
             return self._lu.solve(rhs)
 
     def splu(matrix, *args, **kwargs):
-        if matrix.shape[0] != saddle_dim:
+        if matrix.shape[0] != dim:
             return real_splu(matrix, *args, **kwargs)
         live_at_splu.append(sum(ref() is not None for ref in factors))
         factor = Factor(real_splu(matrix, *args, **kwargs))
@@ -400,10 +400,16 @@ def _track_saddle_factors(monkeypatch, spaces):
     return factors, live_at_splu
 
 
+def _system_dims(spaces):
+    """Row counts of the saddle and the temperature systems."""
+    return {"saddle": spaces.velocity_dim + spaces.head_dim,
+            "temperature": spaces.temperature_dim}
+
+
 def test_lagged_factor_matches_fresh_factoring_pass_for_pass():
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
     with pytest.MonkeyPatch.context() as mp:
-        krylov_calls = _count_calls(mp, "_krylov_solve", solver)
+        krylov_dims = _count_calls(mp, "_krylov_solve", solver)
         lagged_states, lagged_diags = _mms_run(spaces)
     with pytest.MonkeyPatch.context() as mp:
         _krylov_never_converges(mp)
@@ -411,14 +417,17 @@ def test_lagged_factor_matches_fresh_factoring_pass_for_pass():
 
     passes = [d.picard_iters for d in lagged_diags]
     assert passes == [d.picard_iters for d in fresh_diags]
-    # every pass after the run's first went through GMRES
-    assert len(krylov_calls) == sum(passes) - 1 > 0
+    # in each system, every pass after the run's first went through GMRES
+    for dim in _system_dims(spaces).values():
+        assert krylov_dims.count(dim) == sum(passes) - 1 > 0
+    assert len(krylov_dims) == 2 * (sum(passes) - 1)
     _assert_states_close(lagged_states, fresh_states)
 
 
 def test_run_factors_the_saddle_system_once(monkeypatch):
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
-    _, live_at_splu = _track_saddle_factors(monkeypatch, spaces)
+    _, live_at_splu = _track_factors(monkeypatch,
+                                     _system_dims(spaces)["saddle"])
     states, diags = _mms_run(spaces)
     assert len(diags) == 4 and sum(d.picard_iters for d in diags) > 4
     assert len(live_at_splu) == 1
@@ -432,25 +441,103 @@ def test_run_factors_the_saddle_system_once(monkeypatch):
     assert len(live_at_splu) == 3
 
 
-def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
+def _step_without_operators(spaces, problem, config, state):
+    """The states and diagnostics of stepping from state to t_end, each step
+    with operators of its own: fresh factors and a start from its state."""
+    states, diags = [state], []
+    for i in range(config.num_steps):
+        state, diag = step(spaces, problem, config, state,
+                           t_next=(i + 1) * config.dt)
+        states.append(state)
+        diags.append(diag)
+    return states, diags
+
+
+def test_run_factors_each_system_once(monkeypatch):
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    problem, config = _still_cavity(), SolverConfig(dt=0.01, t_end=0.05)
+    splu_dims = _count_calls(monkeypatch, "splu")
+    states, diags = run(spaces, problem, config)
+    assert sorted(splu_dims) == sorted(_system_dims(spaces).values())
+
+    splu_dims.clear()
+    _, stepped = _step_without_operators(spaces, problem, config, states[0])
+    passes = [d.picard_iters for d in diags]
+    # here the extrapolated start saves no pass
+    assert passes == [d.picard_iters for d in stepped] == [6, 6, 5, 5, 5]
+    assert len(splu_dims) == 2 * len(passes)
+
+
+def _assert_states_match(states, reference, rtol):
+    for a, b in zip(states[1:], reference[1:]):
+        for name in ("z", "w", "P"):
+            want = getattr(b, name).values
+            gap = np.max(np.abs(getattr(a, name).values - want))
+            assert gap <= rtol * np.max(np.abs(want))
+
+
+def test_run_extrapolates_the_picard_start_on_mms():
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    problem = oracles.make_mms_problem(model, beta=0.5)
+    config = SolverConfig(dt=1e-3, t_end=0.02)
+    states, diags = run(spaces, problem, config)
+    stepped, stepped_diags = _step_without_operators(spaces, problem, config,
+                                                     states[0])
+    passes = [d.picard_iters for d in diags]
+    fresh = [d.picard_iters for d in stepped_diags]
+    # the first step has nothing to extrapolate from
+    assert passes[0] == fresh[0]
+    assert sum(passes) < sum(fresh)         # 81 against 100
+    assert all(p <= f for p, f in zip(passes, fresh))
+    _assert_states_match(states, stepped, 1e-10)
+
+
+def test_step_extrapolates_only_from_the_state_it_returned():
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    problem = oracles.make_mms_problem(model, beta=0.5)
+    config = SolverConfig(dt=1e-3, t_end=0.02)
+    state0 = initialize_state(spaces, problem)
+    state1, _ = step(spaces, problem, config, state0)
+    _, fresh = step(spaces, problem, config, state1)
+
+    ops = solver.build_operators(spaces, problem)
+    returned, _ = step(spaces, problem, config, state0, operators=ops)
+    # equal fields, but not the state these operators returned
+    _, copied = step(spaces, problem, config, dataclasses.replace(returned),
+                     operators=ops)
+    assert copied.picard_iters == fresh.picard_iters
+
+    returned, _ = step(spaces, problem, config, state0, operators=ops)
+    _, extrapolated = step(spaces, problem, config, returned, operators=ops)
+    assert extrapolated.picard_iters < fresh.picard_iters
+
+
+def _assert_mid_run_fallback(monkeypatch, system):
+    """Fail the second GMRES call of step 2 in one system of an MMS run."""
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    dims = _system_dims(spaces)
+    missed = dims[system]
     real_krylov, real_step = solver._krylov_solve, solver.step
     real_solve = solver._LaggedFactor.solve
-    solutions = []      # every saddle solution, in order
-    x0_gaps = []        # |x0 - previous saddle solution| of every GMRES call
-    call_steps = []     # 0-based index of the step of every GMRES call
+    solutions = {dim: [] for dim in dims.values()}  # per system, in order
+    x0_gaps = {dim: [] for dim in dims.values()}    # |x0 - last solution|
+    call_steps = []     # 0-based step index of every GMRES call of `system`
     steps_done = []
 
     def krylov(system, rhs, lu, x0):
-        x0_gaps.append(np.max(np.abs(x0 - solutions[-1])))
-        call_steps.append(len(steps_done))
-        if call_steps[-1] == 1 and call_steps.count(1) == 2:
-            return None                     # the second GMRES call of step 2
+        dim = system.shape[0]
+        x0_gaps[dim].append(np.max(np.abs(x0 - solutions[dim][-1])))
+        if dim == missed:
+            call_steps.append(len(steps_done))
+            if call_steps[-1] == 1 and call_steps.count(1) == 2:
+                return None                 # its second GMRES call of step 2
         return real_krylov(system, rhs, lu, x0)
 
     def lagged_solve(self, system, rhs):
         x = real_solve(self, system, rhs)
-        solutions.append(x.copy())
+        solutions[system.shape[0]].append(x.copy())
         return x
 
     def counted_step(*args, **kwargs):
@@ -458,7 +545,8 @@ def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
         steps_done.append(None)
         return out
 
-    _, live_at_splu = _track_saddle_factors(monkeypatch, spaces)
+    splu_dims = _count_calls(monkeypatch, "splu")
+    _, live_at_splu = _track_factors(monkeypatch, missed)
     monkeypatch.setattr(solver, "_krylov_solve", krylov)
     monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
     monkeypatch.setattr(solver, "step", counted_step)
@@ -466,18 +554,28 @@ def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
     monkeypatch.undo()
 
     # the run's first pass factors and the failed GMRES call refactors,
-    # each with no stale factor alive
+    # each with no stale factor alive; the other system factors once
     assert call_steps.count(1) > 2
     assert live_at_splu == [0, 0]
+    assert splu_dims.count(missed) == 2 and len(splu_dims) == 3
     passes = [d.picard_iters for d in diags]
-    assert len(x0_gaps) == sum(passes) - 1
-    assert all(gap == 0.0 for gap in x0_gaps)
+    for gaps in x0_gaps.values():
+        assert len(gaps) == sum(passes) - 1
+        assert all(gap == 0.0 for gap in gaps)
 
     with pytest.MonkeyPatch.context() as mp:
         _krylov_never_converges(mp)
         fresh_states, fresh_diags = _mms_run(spaces)
     assert passes == [d.picard_iters for d in fresh_diags]
     _assert_states_close(states, fresh_states)
+
+
+def test_mid_run_fallback_refactors_once_and_warm_starts(monkeypatch):
+    _assert_mid_run_fallback(monkeypatch, "saddle")
+
+
+def test_temperature_fallback_refactors_once_and_warm_starts(monkeypatch):
+    _assert_mid_run_fallback(monkeypatch, "temperature")
 
 
 def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
@@ -491,12 +589,14 @@ def test_fallback_refactors_and_matches_dense_oracle(monkeypatch):
 def test_fallback_releases_stale_factor_before_refactoring(spaces_4x4,
                                                            monkeypatch):
     _krylov_never_converges(monkeypatch)
-    factors, live_at_splu = _track_saddle_factors(monkeypatch, spaces_4x4)
+    tracked = [_track_factors(monkeypatch, dim)
+               for dim in _system_dims(spaces_4x4).values()]
     _, diags = run(spaces_4x4, cavity_problem(), SolverConfig(dt=0.05, t_end=0.1))
-    assert len(live_at_splu) == sum(d.picard_iters for d in diags)
     assert max(d.picard_iters for d in diags) > 1
-    assert live_at_splu == [0] * len(live_at_splu)
-    assert all(ref() is None for ref in factors)
+    for factors, live_at_splu in tracked:
+        assert len(live_at_splu) == sum(d.picard_iters for d in diags)
+        assert live_at_splu == [0] * len(live_at_splu)
+        assert all(ref() is None for ref in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +727,8 @@ def test_saddle_factor_cuts_fill_and_solves_to_tolerance(monkeypatch):
         return lu
 
     def lagged_solve(self, system, rhs):
-        rhs_seen.append(rhs.copy())
+        if len(rhs) == saddle_dim:
+            rhs_seen.append(rhs.copy())
         return real_solve(self, system, rhs)
 
     monkeypatch.setattr(spla, "splu", splu)
@@ -697,16 +798,17 @@ def test_fresh_saddle_factor_polishes_a_direct_solve_that_misses(monkeypatch):
 # fixed-pattern systems against the bmat + constrain passes they replaced
 
 
-def _run_recording_factored_systems(spaces, problem, config, bmat_passes):
-    real_splu = spla.splu
+def _run_recording_systems(spaces, problem, config, bmat_passes):
+    """The run, and every system its passes solve, in order."""
+    real_solve = solver._LaggedFactor.solve
     systems = []
 
-    def splu(matrix, *args, **kwargs):
-        systems.append(matrix)
-        return real_splu(matrix, *args, **kwargs)
+    def lagged_solve(self, system, rhs):
+        systems.append(system)
+        return real_solve(self, system, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spla, "splu", splu)
+        mp.setattr(solver._LaggedFactor, "solve", lagged_solve)
         if bmat_passes:
             mp.setattr(solver, "_temperature_pass", hc.temperature_pass)
             mp.setattr(solver, "_velocity_pass", hc.velocity_pass)
@@ -734,13 +836,14 @@ def test_step_matches_bmat_passes_bit_for_bit(case):
     # D stores exact zeros, so every saddle system drops some entries
     assert np.any(forms.assemble_divergence_constraint(spaces).data == 0.0)
 
-    old = _run_recording_factored_systems(spaces, problem, config, True)
-    new = _run_recording_factored_systems(spaces, problem, config, False)
+    old = _run_recording_systems(spaces, problem, config, True)
+    new = _run_recording_systems(spaces, problem, config, False)
     assert [d.picard_iters for d in new[1]] == [d.picard_iters for d in old[1]]
     for a, b in zip(new[0], old[0]):
         for name in ("z", "w", "P"):
             assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
-    assert len(new[2]) == len(old[2]) > 0
+    # two systems on every pass, each through its lagged factor
+    assert len(new[2]) == len(old[2]) == 2 * sum(d.picard_iters for d in new[1])
     for got, want in zip(new[2], old[2]):
         assert got.format == "csc" and got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
