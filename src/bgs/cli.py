@@ -128,6 +128,17 @@ def _validate_law(chk: _Check, raw, path):
         chk.fail(f"{path}.hi", "must be >= lo")
 
 
+def _re_ra_factors_finite(cst) -> bool:
+    """Whether the constant factors of Re and Ra are finite, computed with
+    the operations compute_diagnostics uses."""
+    c = {**solver.DEFAULT_CONSTANTS, **cst}
+    try:
+        return (math.isfinite(4.0 * c["d"] / c["c1"])
+                and math.isfinite(4.0 * c["d"] ** 2 / (c["c1"] * c["c1_prime"])))
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
 def validate_config(raw) -> dict:
     """Check the entire document, collect all violations, merge defaults."""
     chk = _Check()
@@ -207,9 +218,13 @@ def validate_config(raw) -> dict:
         cst = solv.get("constants")
         if cst is not None and cst != "estimate":
             if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
+                before = len(chk.errors)
                 for key in ("c1", "c1_prime", "d"):
                     chk.number(cst, "solver.constants", key, lo=0.0,
                                strict_lo=True)
+                if len(chk.errors) == before and not _re_ra_factors_finite(cst):
+                    chk.fail("solver.constants",
+                             "4*d/c1 and 4*d**2/(c1*c1_prime) must be finite")
 
     out = raw.get("output", {})
     if chk.section(out, "output", {"directory", "vtk_every", "csv_name"}):

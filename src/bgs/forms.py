@@ -68,10 +68,11 @@ class BoundarySide:
 class FunctionSpaces:
     """Geometry, dof maps, constraints and quadrature tables for one mesh.
 
-    The CSR pattern of each operator pair and the element geometry
-    (node-major P2 gradients, velocity diffusion table) are built on first
-    use, not by build_spaces, so a caller that assembles nothing does not
-    pay for them.  Every array is read-only, so no cached table goes stale.
+    The CSR pattern of each operator pair, the element geometry
+    (node-major P2 gradients, velocity diffusion table) and the quadrature
+    maps of the trilinear forms are built on first use, not by
+    build_spaces, so a caller that assembles nothing does not pay for
+    them.  Every array is read-only, so no cached table goes stale.
     """
 
     mesh: Mesh
@@ -162,6 +163,37 @@ class FunctionSpaces:
         for arr in (table, expand):
             arr.setflags(write=False)
         return table, expand
+
+    @cached_property
+    def quadrature_maps(self) -> tuple[sp.csr_matrix, sp.csr_matrix,
+                                       sp.csr_matrix]:
+        """(x, y, rot): CSR maps from velocity dofs to the x component, the
+        y component and rot at every volume quadrature point.
+
+        Row t * nq + q is point q of triangle t; each map takes a dof
+        vector or an (n, k) stack of them.  A row lists its triangle's
+        dofs in element order, unsorted.
+        """
+        nt, nq = self.quad_w.shape
+        shape = (nt * nq, self.velocity_dim)
+        g = self.p2_grad_at_q
+        rot = np.empty((nt, nq, 12))
+        rot[..., 0::2] = -g[..., 1]     # x-component basis fields
+        rot[..., 1::2] = g[..., 0]      # y-component basis fields
+
+        def csr(data, dofs):
+            per_row = dofs.shape[1]
+            cols = np.broadcast_to(dofs[:, None, :], (nt, nq, per_row))
+            mat = sp.csr_matrix(
+                (data.reshape(-1), cols.reshape(-1),
+                 np.arange(0, shape[0] * per_row + 1, per_row)), shape=shape)
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.setflags(write=False)
+            return mat
+
+        values = np.broadcast_to(self.p2_at_q, (nt, nq, 6))
+        x_dofs = self.vel_dofs[:, 0::2]
+        return csr(values, x_dofs), csr(values, x_dofs + 1), csr(rot, self.vel_dofs)
 
     @cached_property
     def velocity_pattern(self) -> "Pattern":
@@ -733,55 +765,60 @@ def assemble_temperature_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
 # trilinear forms and norms
 
 
-def trilinear_b(spaces: FunctionSpaces, u: FieldVector, v: FieldVector,
-                w: FieldVector) -> float:
-    """b(u, v, w) = integral(rot(u) (z-hat x v) . w)."""
-    om = rot_at_quadrature(spaces, u)
-    vq = velocity_at_quadrature(spaces, v)
-    wq = velocity_at_quadrature(spaces, w)
-    cross = vq[..., 0] * wq[..., 1] - vq[..., 1] * wq[..., 0]
-    return float(np.sum(spaces.quad_w * om * cross))
+def _velocity_stacks(spaces: FunctionSpaces, fields) -> tuple[list, bool]:
+    """(n, k) column stacks of velocity arguments, and whether all of them
+    were FieldVectors (then k = 1)."""
+    if all(isinstance(f, FieldVector) for f in fields):
+        return [_expect(spaces, f, "velocity")[:, None] for f in fields], True
+    stacks = [np.asarray(f) for f in fields]
+    shape = stacks[0].shape
+    if (len(shape) != 2 or shape[0] != spaces.velocity_dim
+            or any(a.shape != shape for a in stacks)):
+        raise ValueError("expected three velocity FieldVectors or three "
+                         f"(n, k) stacks with n = {spaces.velocity_dim}")
+    return stacks, False
 
 
-def b_moment_vectors(spaces: FunctionSpaces, u: FieldVector, v: FieldVector,
-                     w: FieldVector):
+def trilinear_b(spaces: FunctionSpaces, u, v, w):
+    """b(u, v, w) = integral(rot(u) (z-hat x v) . w).
+
+    Takes three velocity FieldVectors and returns a float, or three
+    (n, k) column stacks and returns b of each column triple, (k,).
+    Column j of a stack gives the same bytes as a call on column j alone.
+    """
+    (u, v, w), single = _velocity_stacks(spaces, (u, v, w))
+    x_map, y_map, rot_map = spaces.quadrature_maps
+    om = rot_map @ u
+    vx, vy, wx, wy = x_map @ v, y_map @ v, x_map @ w, y_map @ w
+    dens = spaces.quad_w.reshape(-1, 1) * om * (vx * wy - vy * wx)
+    # a row-wise sum of the transpose adds each column in one fixed order
+    vals = np.ascontiguousarray(dens.T).sum(axis=1)
+    return float(vals[0]) if single else vals
+
+
+def b_moment_vectors(spaces: FunctionSpaces, u, v, w):
     """Partial contractions of b against each basis slot.
 
     Returns (r_u, r_v, r_w) with r_u[i] = b(phi_i, v, w),
-    r_v[i] = b(u, phi_i, w) and r_w[i] = b(u, v, phi_i); used by the
-    audit to sharpen sampled continuity constants by coordinate ascent.
+    r_v[i] = b(u, phi_i, w) and r_w[i] = b(u, v, phi_i), each (n,) for
+    FieldVector arguments or (n, k) for (n, k) column stacks.  r_w at
+    u = v = z is N(z) z.  The audit uses them to sharpen sampled
+    continuity constants and to take dual norms.
     """
-    om = rot_at_quadrature(spaces, u)
-    vq = velocity_at_quadrature(spaces, v)
-    wq = velocity_at_quadrature(spaces, w)
-    qw = spaces.quad_w
-    n = spaces.velocity_dim
-
+    (u, v, w), single = _velocity_stacks(spaces, (u, v, w))
+    x_map, y_map, rot_map = spaces.quadrature_maps
+    qw = spaces.quad_w.reshape(-1, 1)
+    om = rot_map @ u
+    vx, vy, wx, wy = x_map @ v, y_map @ v, x_map @ w, y_map @ w
     # r_u: density (z-hat x v) . w against rot(phi_i)
-    cross = vq[..., 0] * wq[..., 1] - vq[..., 1] * wq[..., 0]
-    g = spaces.p2_grad_at_q
-    loc_u = np.empty((spaces.mesh.num_triangles, 12))
-    loc_u[:, 0::2] = -np.einsum("tq,tqa->ta", qw * cross, g[..., 1])
-    loc_u[:, 1::2] = np.einsum("tq,tqa->ta", qw * cross, g[..., 0])
-
-    # r_v: vector density rot(u) (w2, -w1) against phi_i
-    sv = om[..., None] * np.stack([wq[..., 1], -wq[..., 0]], axis=-1)
-    mom_v = np.einsum("tq,tqd,qa->tad", qw, sv, spaces.p2_at_q)
-    loc_v = np.empty((spaces.mesh.num_triangles, 12))
-    loc_v[:, 0::2] = mom_v[..., 0]
-    loc_v[:, 1::2] = mom_v[..., 1]
-
-    # r_w: vector density rot(u) (-v2, v1) against phi_i
-    sw = om[..., None] * np.stack([-vq[..., 1], vq[..., 0]], axis=-1)
-    mom_w = np.einsum("tq,tqd,qa->tad", qw, sw, spaces.p2_at_q)
-    loc_w = np.empty((spaces.mesh.num_triangles, 12))
-    loc_w[:, 0::2] = mom_w[..., 0]
-    loc_w[:, 1::2] = mom_w[..., 1]
-
-    out = np.zeros((3, n))
-    for k, loc in enumerate((loc_u, loc_v, loc_w)):
-        np.add.at(out[k], spaces.vel_dofs.ravel(), loc.ravel())
-    return out[0], out[1], out[2]
+    r_u = rot_map.T @ (qw * (vx * wy - vy * wx))
+    # r_v: vector density rot(u) (w2, -w1) against phi_i; r_w: rot(u) (-v2, v1)
+    s = qw * om
+    r_v = x_map.T @ (s * wy) - y_map.T @ (s * wx)
+    r_w = y_map.T @ (s * vx) - x_map.T @ (s * vy)
+    if single:
+        return r_u[:, 0], r_v[:, 0], r_w[:, 0]
+    return r_u, r_v, r_w
 
 
 def trilinear_c(spaces: FunctionSpaces, z: FieldVector, w: FieldVector,

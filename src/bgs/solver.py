@@ -560,9 +560,13 @@ def compute_diagnostics(spaces: FunctionSpaces, state: State, constants,
              else forms.assemble_divergence_constraint(spaces))
     z_l4 = forms.l4_norm(spaces, state.z)
     w_l4 = forms.l4_norm(spaces, state.w)
-    re = 4.0 * cst["d"] * z_l4 / (model.gamma0 * cst["c1"])
-    ra = (4.0 * cst["d"] ** 2 * w_l4 ** 2
-          / (model.gamma0 * model.k0 * cst["c1"] * cst["c1_prime"]))
+    try:
+        re = 4.0 * cst["d"] * z_l4 / (model.gamma0 * cst["c1"])
+        ra = (4.0 * cst["d"] ** 2 * w_l4 ** 2
+              / (model.gamma0 * model.k0 * cst["c1"] * cst["c1_prime"]))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DivergenceError(f"Re/Ra not representable with z_L4={z_l4:.3e}, "
+                              f"w_L4={w_l4:.3e}: {exc}") from exc
     return Diagnostics(
         t=state.t,
         kinetic=forms.l2_norm_sq(spaces, state.z),

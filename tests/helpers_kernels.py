@@ -6,6 +6,11 @@ velocity gradients came from an `einsum` over the P2 gradients, and
 temperature advection contracted velocity and gradients with an `einsum`.
 The copies below are kept verbatim, so tests can require the cached-geometry
 paths to give the same bytes.
+
+The trilinear form b and its moment vectors were evaluated one field at a
+time from the quadrature kernels; they now go through sparse quadrature
+maps on column stacks, which adds in another order.  Their per-field
+bodies are kept verbatim below as the reference within a tolerance.
 """
 
 from unittest import mock
@@ -84,3 +89,52 @@ def with_einsum_rot(fn, *args):
     """fn(*args) with `forms.rot_at_quadrature` replaced by the einsum copy."""
     with mock.patch.object(forms, "rot_at_quadrature", rot_at_quadrature):
         return fn(*args)
+
+
+def trilinear_b(spaces, u, v, w):
+    """b(u, v, w) = integral(rot(u) (z-hat x v) . w)."""
+    om = forms.rot_at_quadrature(spaces, u)
+    vq = forms.velocity_at_quadrature(spaces, v)
+    wq = forms.velocity_at_quadrature(spaces, w)
+    cross = vq[..., 0] * wq[..., 1] - vq[..., 1] * wq[..., 0]
+    return float(np.sum(spaces.quad_w * om * cross))
+
+
+def b_moment_vectors(spaces, u, v, w):
+    """Partial contractions of b against each basis slot.
+
+    Returns (r_u, r_v, r_w) with r_u[i] = b(phi_i, v, w),
+    r_v[i] = b(u, phi_i, w) and r_w[i] = b(u, v, phi_i); used by the
+    audit to sharpen sampled continuity constants by coordinate ascent.
+    """
+    om = forms.rot_at_quadrature(spaces, u)
+    vq = forms.velocity_at_quadrature(spaces, v)
+    wq = forms.velocity_at_quadrature(spaces, w)
+    qw = spaces.quad_w
+    n = spaces.velocity_dim
+
+    # r_u: density (z-hat x v) . w against rot(phi_i)
+    cross = vq[..., 0] * wq[..., 1] - vq[..., 1] * wq[..., 0]
+    g = spaces.p2_grad_at_q
+    loc_u = np.empty((spaces.mesh.num_triangles, 12))
+    loc_u[:, 0::2] = -np.einsum("tq,tqa->ta", qw * cross, g[..., 1])
+    loc_u[:, 1::2] = np.einsum("tq,tqa->ta", qw * cross, g[..., 0])
+
+    # r_v: vector density rot(u) (w2, -w1) against phi_i
+    sv = om[..., None] * np.stack([wq[..., 1], -wq[..., 0]], axis=-1)
+    mom_v = np.einsum("tq,tqd,qa->tad", qw, sv, spaces.p2_at_q)
+    loc_v = np.empty((spaces.mesh.num_triangles, 12))
+    loc_v[:, 0::2] = mom_v[..., 0]
+    loc_v[:, 1::2] = mom_v[..., 1]
+
+    # r_w: vector density rot(u) (-v2, v1) against phi_i
+    sw = om[..., None] * np.stack([-vq[..., 1], vq[..., 0]], axis=-1)
+    mom_w = np.einsum("tq,tqd,qa->tad", qw, sw, spaces.p2_at_q)
+    loc_w = np.empty((spaces.mesh.num_triangles, 12))
+    loc_w[:, 0::2] = mom_w[..., 0]
+    loc_w[:, 1::2] = mom_w[..., 1]
+
+    out = np.zeros((3, n))
+    for k, loc in enumerate((loc_u, loc_v, loc_w)):
+        np.add.at(out[k], spaces.vel_dofs.ravel(), loc.ravel())
+    return out[0], out[1], out[2]

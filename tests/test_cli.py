@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from bgs import cli, oracles
+from bgs import cli, forms, oracles
 
 
 def write_config(path, **overrides):
@@ -170,6 +170,40 @@ def test_run_with_config_constants_reported_as_config(tmp_path):
     consts = json.loads((tmp_path / "out" / "constants.json").read_text())
     assert consts["source"] == "config"
     assert consts["c1"] == 0.5
+
+
+@pytest.mark.parametrize("constants", [
+    {"c1": 1e-300, "c1_prime": 1e-300, "d": 1e300},   # d ** 2 overflows
+    {"c1": 1e-200, "c1_prime": 1e-200}])              # c1 * c1' is 0.0
+def test_unrepresentable_re_ra_constants_exit_2(tmp_path, capsys, constants):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, solver={"constants": constants})
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: config: solver.constants: ")
+    assert "Traceback" not in err
+
+
+def test_overflowing_field_norms_exit_3(tmp_path, capsys, monkeypatch):
+    # finite L4 norms so large that w_L4 ** 2 overflows a float
+    monkeypatch.setattr(forms, "l4_norm", lambda spaces, f: 1e200)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert cli.main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: solver: step 1 (t=0.1): Re/Ra not representable")
+    assert "Traceback" not in err
+
+
+def test_underflowing_re_ra_denominator_exits_3(tmp_path, capsys):
+    # gamma0 * k0 * c1 * c1' is 0.0 in floating point
+    tiny = {"kind": "constant", "value": 1e-200}
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, coefficients={"viscosity": tiny, "conductivity": tiny})
+    assert cli.main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: solver: step 1 (t=0.1): Re/Ra not representable")
+    assert "Traceback" not in err
 
 
 def test_run_vtk_snapshots(tmp_path):

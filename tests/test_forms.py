@@ -1,5 +1,7 @@
 """Assembled operators: symmetry classes, exact identities, dense cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -226,9 +228,6 @@ def test_cached_geometry_matches_einsum_kernels_bit_for_bit(mesh, model):
                          hk.with_einsum_rot(forms.assemble_velocity_advection, s, z))
         _assert_same_csr(forms.assemble_temperature_advection(s, z),
                          hk.assemble_temperature_advection(s, z))
-        for args in ((z, v, v), (v, z, v)):
-            _same_bytes(np.float64(forms.trilinear_b(s, *args)),
-                        np.float64(hk.with_einsum_rot(forms.trilinear_b, s, *args)))
     for w in (_random_field(s, "temperature", rng),
               forms.zeros_field(s, "temperature")):
         _assert_same_csr(forms.assemble_velocity_diffusion(s, model, w),
@@ -237,23 +236,86 @@ def test_cached_geometry_matches_einsum_kernels_bit_for_bit(mesh, model):
                      hk.assemble_divergence_constraint(s))
 
 
+def _velocity_columns(fields):
+    return np.column_stack([f.values for f in fields])
+
+
+@pytest.mark.parametrize("mesh", sorted(_BIT_MESHES))
+def test_batched_trilinear_forms_match_per_field_copies(mesh):
+    s = build_spaces(build_rectangle_mesh(*_BIT_MESHES[mesh]))
+    rng = np.random.default_rng(sum(_BIT_MESHES[mesh][:2]) + 2)
+    zero = forms.zeros_field(s, "velocity")
+    signed_zero = FieldVector("velocity",
+                              np.copysign(0.0, rng.standard_normal(s.velocity_dim)))
+    # every slot takes a random field, zero or a zero with random signs
+    triples = list(itertools.product(
+        *[(_random_field(s, "velocity", rng), zero, signed_zero)
+          for _ in range(3)]))
+    stacks = [_velocity_columns(slot) for slot in zip(*triples)]
+    vals = forms.trilinear_b(s, *stacks)
+    moments = forms.b_moment_vectors(s, *stacks)
+    assert vals.shape == (len(triples),)
+    assert all(r.shape == stacks[0].shape for r in moments)
+    with pytest.raises(ValueError, match="three velocity FieldVectors"):
+        forms.trilinear_b(s, triples[0][0], *stacks[1:])
+    max_grad = np.max(np.abs(s.p2_grad_at_q))
+    for j, (u, v, w) in enumerate(triples):
+        val = forms.trilinear_b(s, u, v, w)
+        r_single = forms.b_moment_vectors(s, u, v, w)
+        assert isinstance(val, float)
+        _same_bytes(np.float64(val), vals[j])
+        for got, stacked in zip(r_single, moments):
+            _same_bytes(got, np.ascontiguousarray(stacked[:, j]))
+        # bounds on the absolute integrands of b and of each moment entry;
+        # |phi_i| <= 1 for the P2 basis
+        rot_u = np.abs(forms.rot_at_quadrature(s, u))
+        v_q, w_q = (np.linalg.norm(forms.velocity_at_quadrature(s, f), axis=-1)
+                    for f in (v, w))
+        qw = s.quad_w
+        assert abs(val - hk.trilinear_b(s, u, v, w)) <= 1e-13 * np.sum(
+            qw * rot_u * v_q * w_q)
+        scales = (max_grad * np.sum(qw * v_q * w_q), np.sum(qw * rot_u * w_q),
+                  np.sum(qw * rot_u * v_q))
+        for got, want, scale in zip(r_single, hk.b_moment_vectors(s, u, v, w),
+                                    scales):
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert forms.trilinear_b(s, zero, v, w) == 0.0
+        assert forms.trilinear_b(s, u, v, v) == 0.0
+
+
+def test_advection_times_field_is_third_moment(spaces_4x4, rng):
+    # the audit's dual norm takes N(z) z as b(z, z, phi_i); keep it tied to
+    # the operator the solver assembles
+    for _ in range(5):
+        z = _random_field(spaces_4x4, "velocity", rng)
+        w = _random_field(spaces_4x4, "velocity", rng)
+        ref = forms.assemble_velocity_advection(spaces_4x4, z) @ z.values
+        _, _, r_w = forms.b_moment_vectors(spaces_4x4, z, z, w)
+        assert np.max(np.abs(r_w - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_element_tables_are_read_only_and_built_once():
     s = build_spaces(build_rectangle_mesh(3, 3, ("left",)))
-    cached = ("p2_grad_by_node", "diffusion_geometry")
+    cached = ("p2_grad_by_node", "diffusion_geometry", "quadrature_maps")
     assert not any(name in vars(s) for name in cached)
     w = forms.zeros_field(s, "temperature")
     z = forms.zeros_field(s, "velocity")
     forms.assemble_velocity_diffusion(s, _TANH_MODEL, w)
     forms.rot_at_quadrature(s, z)
+    forms.trilinear_b(s, z, z, z)
     first = [vars(s)[name] for name in cached]
     forms.assemble_velocity_diffusion(s, _TANH_MODEL, w)
     forms.assemble_velocity_advection(s, z)
+    forms.b_moment_vectors(s, z, z, z)
     assert all(vars(s)[name] is table for name, table in zip(cached, first))
     table, expand = s.diffusion_geometry
     for arr in (s.p2_at_q, s.p2_grad_at_q, s.p1_at_q, s.p1_grad,
                 s.p2_grad_by_node, table, expand):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
+    for mat in s.quadrature_maps:
+        for arr in (mat.data, mat.indices, mat.indptr):
+            assert not arr.flags.writeable
 
 
 def test_boundary_and_edge_arrays_are_read_only():

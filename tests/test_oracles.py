@@ -343,8 +343,9 @@ def test_check_forms_passes_and_seed_invariant(spaces_2x2):
 
 
 def test_check_forms_pins_constants_and_dual_norm_bound(spaces_2x2):
-    # dual_norm_bound calibrates its own constant, so only a pinned value
-    # catches a wrong Gram solve in the dual norm
+    # dual_norm_bound and b_continuity calibrate their own constants, so
+    # only a pinned value catches a wrong Gram solve in the dual norm or
+    # a wrong H1 norm or sample order in the continuity check
     report = oracles.check_forms(spaces_2x2, trials=5, seed=42)
     assert report.constants["c1"] == pytest.approx(0.976363087182704, rel=1e-12)
     assert report.constants["c1_prime"] == pytest.approx(0.7211730887545281,
@@ -352,6 +353,8 @@ def test_check_forms_pins_constants_and_dual_norm_bound(spaces_2x2):
     assert report.constants["d"] == pytest.approx(1.0000000000000002, rel=1e-12)
     assert report.worst_of("dual_norm_bound") == pytest.approx(
         0.25517904410688297, rel=1e-9)
+    assert report.worst_of("b_continuity") == pytest.approx(
+        0.002119904519446148, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
