@@ -128,13 +128,15 @@ def _validate_law(chk: _Check, raw, path):
         chk.fail(f"{path}.hi", "must be >= lo")
 
 
-def _re_ra_factors_finite(cst) -> bool:
+def _re_ra_factors_finite(cst, gamma0: float = 1.0, k0: float = 1.0) -> bool:
     """Whether the constant factors of Re and Ra are finite, computed with
-    the operations compute_diagnostics uses."""
+    the operations compute_diagnostics uses; gamma0 and k0 are the lower
+    bounds of the viscosity and conductivity laws."""
     c = {**solver.DEFAULT_CONSTANTS, **cst}
     try:
-        return (math.isfinite(4.0 * c["d"] / c["c1"])
-                and math.isfinite(4.0 * c["d"] ** 2 / (c["c1"] * c["c1_prime"])))
+        return (math.isfinite(4.0 * c["d"] / (gamma0 * c["c1"]))
+                and math.isfinite(4.0 * c["d"] ** 2
+                                  / (gamma0 * k0 * c["c1"] * c["c1_prime"])))
     except (OverflowError, ZeroDivisionError):
         return False
 
@@ -167,10 +169,16 @@ def validate_config(raw) -> dict:
                              "at least one side must remain GAMMA2")
 
     coeff = raw.get("coefficients", {})
+    before = len(chk.errors)
     if chk.section(coeff, "coefficients", {"viscosity", "conductivity"}):
         for name in ("viscosity", "conductivity"):
             if name in coeff:
                 _validate_law(chk, coeff[name], f"coefficients.{name}")
+    # the lower bounds gamma0 and k0 of valid laws, for the Re/Ra check
+    floors = None
+    if len(chk.errors) == before:
+        floors = [_build_law(coeff.get(name, cfg["coefficients"][name])).lo
+                  for name in ("viscosity", "conductivity")]
 
     phys = raw.get("physics", {})
     if chk.section(phys, "physics", {"beta", "gravity", "buoyancy_sign_flag"}):
@@ -215,16 +223,22 @@ def validate_config(raw) -> dict:
                    {"picard_max", "picard_tol", "constants"}):
         chk.number(solv, "solver", "picard_max", lo=1, integer=True)
         chk.number(solv, "solver", "picard_tol", lo=0.0, strict_lo=True)
-        cst = solv.get("constants")
-        if cst is not None and cst != "estimate":
+        cst = solv.get("constants", {})
+        # with numbers for the constants, the Re/Ra prefactors must be
+        # finite for the laws' lower bounds gamma0 and k0; estimated
+        # constants are checked when the run computes Re and Ra
+        if cst != "estimate":
             if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
                 before = len(chk.errors)
                 for key in ("c1", "c1_prime", "d"):
                     chk.number(cst, "solver.constants", key, lo=0.0,
                                strict_lo=True)
-                if len(chk.errors) == before and not _re_ra_factors_finite(cst):
+                if (len(chk.errors) == before and floors is not None
+                        and not _re_ra_factors_finite(cst, *floors)):
                     chk.fail("solver.constants",
-                             "4*d/c1 and 4*d**2/(c1*c1_prime) must be finite")
+                             "4*d/(gamma0*c1) and 4*d**2/(gamma0*k0*c1*c1_prime) "
+                             "must be finite, with gamma0 and k0 the lower "
+                             "bounds of the viscosity and conductivity laws")
 
     out = raw.get("output", {})
     if chk.section(out, "output", {"directory", "vtk_every", "csv_name"}):

@@ -15,9 +15,19 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .mesh import GAMMA1, GAMMA2, Mesh, unique_edges
 from .quadrature import edge_rule, triangle_rule
+
+
+# _UPPER[a, b] = _UPPER[b, a] numbers the 21 distinct entries of a
+# symmetric 6 x 6 block in the order of _TRIU, its upper triangle
+_TRIU = np.triu_indices(6)
+_UPPER = np.empty((6, 6), dtype=np.intp)
+_UPPER[_TRIU] = _UPPER[_TRIU[::-1]] = np.arange(21)
+for _arr in (*_TRIU, _UPPER):
+    _arr.setflags(write=False)
 
 
 def _sym_outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -146,7 +156,7 @@ class FunctionSpaces:
         """
         g = self.p2_grad_at_q
         nt, nq = g.shape[:2]
-        iu, ju = np.triu_indices(6)
+        iu, ju = _TRIU
         table = np.empty((nq, nt, 57))
         for q in range(nq):
             gx, gy = g[:, q, :, 0], g[:, q, :, 1]
@@ -154,11 +164,9 @@ class FunctionSpaces:
             table[q, :, :21] = gy[:, iu] * gy[:, ju] + gx[:, iu] * gx[:, ju]
             table[q, :, 21:] = (_sym_outer(gx, gy)
                                 - _sym_outer(gy, gx)).reshape(nt, 36)
-        upper = np.empty((6, 6), dtype=np.intp)
-        upper[iu, ju] = upper[ju, iu] = np.arange(21)
         xy = 21 + np.arange(36).reshape(6, 6)
         expand = np.empty((12, 12), dtype=np.intp)
-        expand[0::2, 0::2] = expand[1::2, 1::2] = upper
+        expand[0::2, 0::2] = expand[1::2, 1::2] = _UPPER
         expand[0::2, 1::2], expand[1::2, 0::2] = xy, xy.T
         for arr in (table, expand):
             arr.setflags(write=False)
@@ -196,24 +204,71 @@ class FunctionSpaces:
         return csr(values, x_dofs), csr(values, x_dofs + 1), csr(rot, self.vel_dofs)
 
     @cached_property
+    def velocity_diffusion_map(self) -> "SumMap":
+        """The velocity diffusion's data from its (nt, 57) accumulator.
+
+        Reads the table columns of diffusion_geometry, triangle by
+        triangle: element entry (a, b) of triangle t is value
+        t * 57 + expand[a, b].
+        """
+        _, expand = self.diffusion_geometry
+        nt = self.mesh.num_triangles
+        block = 57 * np.arange(nt)[:, None, None] + expand
+        return self.velocity_pattern.mapped(block, 57 * nt)
+
+    @cached_property
+    def velocity_advection_map(self) -> "SumMap":
+        """The velocity advection's data from [s, -s, +0.0].
+
+        s holds the 21 distinct values of the symmetric (6, 6) scalar block
+        of each triangle, indexed by _UPPER: element entry (2a + 1, 2b) of
+        triangle t holds s[t, a, b], entry (2a, 2b + 1) holds -s[t, a, b],
+        and every entry that couples like components holds +0.0.  A slot
+        that couples like components sums only such zeros, so it reads the
+        +0.0 sentinel once, which gives the same +0.0.
+        """
+        nt = self.mesh.num_triangles
+        n = 21 * nt
+        ids = 21 * np.arange(nt)[:, None, None] + _UPPER
+        block = np.full((nt, 12, 12), 2 * n)
+        block[:, 1::2, 0::2] = ids          # (z-hat x e_x) . e_y = +1
+        block[:, 0::2, 1::2] = n + ids      # (z-hat x e_y) . e_x = -1
+        full = self.velocity_pattern.mapped(block, 2 * n + 1)
+        keep = full.cols != 2 * n
+        keep[full.ptr[:-1]] = True
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return SumMap(kept[full.ptr], full.cols[keep], full.size, full.weights)
+
+    @cached_property
+    def unit_weights(self) -> np.ndarray:
+        """Read-only ones, one per entry of the largest element block set
+        (12 x 12 per triangle): the weights every SumMap on this mesh views."""
+        ones = np.ones(self.vel_dofs.size * self.vel_dofs.shape[1])
+        ones.setflags(write=False)
+        return ones
+
+    @cached_property
     def velocity_pattern(self) -> "Pattern":
         n = self.velocity_dim
-        return Pattern(self.vel_dofs, self.vel_dofs, (n, n))
+        return Pattern(self.vel_dofs, self.vel_dofs, (n, n), self.unit_weights)
 
     @cached_property
     def temperature_pattern(self) -> "Pattern":
         n = self.temperature_dim
-        return Pattern(self.mesh.triangles, self.mesh.triangles, (n, n))
+        return Pattern(self.mesh.triangles, self.mesh.triangles, (n, n),
+                       self.unit_weights)
 
     @cached_property
     def divergence_pattern(self) -> "Pattern":
         return Pattern(self.mesh.triangles, self.vel_dofs,
-                       (self.head_dim, self.velocity_dim))
+                       (self.head_dim, self.velocity_dim), self.unit_weights)
 
     @cached_property
     def buoyancy_pattern(self) -> "Pattern":
         return Pattern(self.vel_dofs, self.mesh.triangles,
-                       (self.velocity_dim, self.temperature_dim))
+                       (self.velocity_dim, self.temperature_dim),
+                       self.unit_weights)
 
 
 def _p2_ref(points: np.ndarray):
@@ -477,21 +532,59 @@ def scalar_grad(spaces: FunctionSpaces, f: FieldVector) -> np.ndarray:
 # assembly
 
 
+class SumMap:
+    """Sums compact element values into a pattern's CSR data, bit for bit
+    as scipy's COO->CSR conversion sums the element blocks they stand for.
+
+    Data slot i is the sum of values[cols[ptr[i]:ptr[i + 1]]], added in
+    that order to -0.0, the additive identity that keeps the sign of a sum
+    of negative zeros as scipy does.  The map is the CSR matrix (ptr,
+    cols) of unit weights, applied by scipy's private ``csr_matvec``,
+    which adds each row in storage order onto the output it is given.
+    Scipy's public ``@`` starts from +0.0 and would lose that sign.  The
+    index arrays are int32 and read-only; the unit weights are a view of
+    one read-only buffer of ones that every map of a mesh shares
+    (``FunctionSpaces.unit_weights``).
+    """
+
+    def __init__(self, ptr: np.ndarray, cols: np.ndarray, size: int,
+                 unit_weights: np.ndarray):
+        self.ptr = np.asarray(ptr, dtype=np.int32)    # no copy when shared
+        self.cols = np.asarray(cols, dtype=np.int32)
+        self.size = size            # how many compact values the map reads
+        for arr in (self.ptr, self.cols):
+            arr.setflags(write=False)
+        self.weights = unit_weights[:len(self.cols)]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+        if values.size != self.size:
+            raise ValueError(f"map reads {self.size} values, got {values.size}")
+        data = np.full(len(self.ptr) - 1, -0.0)
+        _sparsetools.csr_matvec(len(data), self.size, self.ptr, self.cols,
+                                self.weights, values, data)
+        return data
+
+
 class Pattern:
     """CSR pattern of one element-assembled operator, fixed per mesh.
 
     Element block entry loc[t, a, b] belongs at (row_map[t, a],
-    col_map[t, b]).  ``perm`` lists the flat entries in the order that
-    scipy's COO->CSR conversion leaves them: ``coo_tocsr`` sorts them
-    stably by row, then ``csr_sort_indices`` sorts each row by column
-    with ``std::sort``, which is not stable.  ``slot`` is the data slot
-    of each entry in that order.  Adding duplicates in this order
-    reproduces scipy's sums bit for bit; adding them in element order
-    does not (219 entries of the 16x16 velocity diffusion differ).  The
-    order is read off once by sorting a CSR matrix of entry ids.
+    col_map[t, b]).  ``element_map`` sums the flat entries of loc into the
+    data, each slot's duplicates in the order that scipy's COO->CSR
+    conversion leaves them: ``coo_tocsr`` sorts the entries stably by row,
+    then ``csr_sort_indices`` sorts each row by column with ``std::sort``,
+    which is not stable.  Adding duplicates in this order reproduces
+    scipy's sums bit for bit; adding them in element order does not (219
+    entries of the 16x16 velocity diffusion differ).  The order is read
+    off once by sorting a CSR matrix of entry ids.  ``sum`` is the identity
+    case; an operator whose blocks hold fewer distinct values maps them
+    through the same slot pointers (``velocity_diffusion_map``,
+    ``velocity_advection_map`` of FunctionSpaces).
     """
 
-    def __init__(self, row_map: np.ndarray, col_map: np.ndarray, shape):
+    def __init__(self, row_map: np.ndarray, col_map: np.ndarray, shape,
+                 unit_weights: np.ndarray):
         m, a = row_map.shape
         b = col_map.shape[1]
         rows = np.broadcast_to(row_map[:, :, None], (m, a, b)).ravel()
@@ -502,11 +595,13 @@ class Pattern:
         ids = sp.csr_matrix((by_row.astype(np.float64), cols[by_row], indptr),
                             shape=shape)
         ids.sort_indices()
-        self.perm = ids.data.astype(np.intp)
-        rows, cols = rows[self.perm], ids.indices
+        perm = ids.data.astype(np.intp)
+        rows, cols = rows[perm], ids.indices
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        self.slot = np.cumsum(first) - 1
+        self.element_map = SumMap(
+            np.append(np.flatnonzero(first), len(first)), perm, len(perm),
+            unit_weights)
         self.shape = tuple(shape)
         self.nnz = int(first.sum())
         # int32, as scipy stores indices at every size assembled here
@@ -514,18 +609,19 @@ class Pattern:
         self.indices = cols[first].astype(np.int32)
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.rows, minlength=shape[0]), out=self.indptr[1:])
-        for arr in (self.perm, self.slot, self.rows, self.indices, self.indptr):
+        for arr in (self.rows, self.indices, self.indptr):
             arr.setflags(write=False)   # shared by every matrix on the pattern
 
     def sum(self, loc: np.ndarray) -> np.ndarray:
-        """Data of the assembled matrix: duplicates added in scipy's order.
+        """Data of the assembled matrix: duplicates added in scipy's order."""
+        return self.element_map(loc)
 
-        Starting from -0.0, the additive identity, keeps the sign of a sum
-        of negative zeros as scipy does.
-        """
-        data = np.full(self.nnz, -0.0)
-        np.add.at(data, self.slot, loc.ravel()[self.perm])
-        return data
+    def mapped(self, block_values: np.ndarray, size: int) -> SumMap:
+        """The map that reads compact values instead of element blocks:
+        block_values[t, a, b] is the compact index of loc[t, a, b]."""
+        em = self.element_map
+        return SumMap(em.ptr, block_values.reshape(-1)[em.cols], size,
+                      em.weights)
 
     def matrix(self, data: np.ndarray, keep: np.ndarray | None = None
                ) -> sp.csr_matrix:
@@ -560,11 +656,14 @@ class Pattern:
         return out
 
 
-def _summed(loc: np.ndarray, pattern: Pattern) -> np.ndarray:
-    data = pattern.sum(loc)
+def _finite(data: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise ValueError("assembled operator contains non-finite entries")
     return data
+
+
+def _summed(loc: np.ndarray, pattern: Pattern) -> np.ndarray:
+    return _finite(pattern.sum(loc))
 
 
 def _scatter(loc: np.ndarray, pattern: Pattern) -> sp.csr_matrix:
@@ -596,11 +695,12 @@ def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
     """
     w_q = scalar_at_quadrature(spaces, w_h)
     w = spaces.quad_w * model.viscosity(w_q)
-    table, expand = spaces.diffusion_geometry
+    table, _ = spaces.diffusion_geometry
     acc = np.zeros(table.shape[1:])
     for q in range(w.shape[1]):
         acc += w[:, q, None] * table[q]
-    return _scatter(acc[:, expand], spaces.velocity_pattern)
+    data = _finite(spaces.velocity_diffusion_map(acc))
+    return spaces.velocity_pattern.matrix(data)
 
 
 def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
@@ -630,11 +730,17 @@ def assemble_velocity_advection(spaces: FunctionSpaces,
     matrix is exactly skew-symmetric.
     """
     w = spaces.quad_w * rot_at_quadrature(spaces, z_h)
-    s = np.einsum("tq,qab->tab", w, _sym_outer(spaces.p2_at_q))  # bit-symmetric
-    loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
-    loc[:, 1::2, 0::2] = s      # (z-hat x e_x) . e_y = +1
-    loc[:, 0::2, 1::2] = -s     # (z-hat x e_y) . e_x = -1
-    return _scatter(loc, spaces.velocity_pattern)
+    n = 21 * len(w)
+    values = np.empty(2 * n + 1)    # s, -s and the +0.0 sentinel
+    # the upper triangle of einsum("tq,qab->tab", w, outer), bit for bit:
+    # the same products summed over q in the same order
+    outer = _sym_outer(spaces.p2_at_q)[:, _TRIU[0], _TRIU[1]]
+    np.einsum("tq,qk->tk", w, np.ascontiguousarray(outer),
+              out=values[:n].reshape(-1, 21))
+    np.negative(values[:n], out=values[n:2 * n])
+    values[2 * n] = 0.0
+    data = _finite(spaces.velocity_advection_map(values))
+    return spaces.velocity_pattern.matrix(data)
 
 
 def assemble_temperature_advection(spaces: FunctionSpaces,
@@ -796,29 +902,39 @@ def trilinear_b(spaces: FunctionSpaces, u, v, w):
     return float(vals[0]) if single else vals
 
 
-def b_moment_vectors(spaces: FunctionSpaces, u, v, w):
+def b_moment_vectors(spaces: FunctionSpaces, u, v, w, slots: str = "uvw"):
     """Partial contractions of b against each basis slot.
 
     Returns (r_u, r_v, r_w) with r_u[i] = b(phi_i, v, w),
     r_v[i] = b(u, phi_i, w) and r_w[i] = b(u, v, phi_i), each (n,) for
     FieldVector arguments or (n, k) for (n, k) column stacks.  r_w at
     u = v = z is N(z) z.  The audit uses them to sharpen sampled
-    continuity constants and to take dual norms.
+    continuity constants and to take dual norms.  slots names the
+    moments to compute and return, in that order ("w" returns (r_w,));
+    each is the same bytes as in a call that computes all three.
     """
+    if not slots or set(slots) - set("uvw"):
+        raise ValueError(f"slots must name moments among 'uvw', got {slots!r}")
     (u, v, w), single = _velocity_stacks(spaces, (u, v, w))
     x_map, y_map, rot_map = spaces.quadrature_maps
     qw = spaces.quad_w.reshape(-1, 1)
-    om = rot_map @ u
-    vx, vy, wx, wy = x_map @ v, y_map @ v, x_map @ w, y_map @ w
-    # r_u: density (z-hat x v) . w against rot(phi_i)
-    r_u = rot_map.T @ (qw * (vx * wy - vy * wx))
-    # r_v: vector density rot(u) (w2, -w1) against phi_i; r_w: rot(u) (-v2, v1)
-    s = qw * om
-    r_v = x_map.T @ (s * wy) - y_map.T @ (s * wx)
-    r_w = y_map.T @ (s * vx) - x_map.T @ (s * vy)
-    if single:
-        return r_u[:, 0], r_v[:, 0], r_w[:, 0]
-    return r_u, r_v, r_w
+    need_w = "u" in slots or "v" in slots
+    if need_w:
+        wx, wy = x_map @ w, y_map @ w
+    if "u" in slots or "w" in slots:
+        vx, vy = (wx, wy) if need_w and v is w else (x_map @ v, y_map @ v)
+    if "v" in slots or "w" in slots:
+        s = qw * (rot_map @ u)
+    moments = {}
+    if "u" in slots:    # density (z-hat x v) . w against rot(phi_i)
+        moments["u"] = rot_map.T @ (qw * (vx * wy - vy * wx))
+    # vector density rot(u) (w2, -w1) against phi_i for r_v, rot(u) (-v2, v1)
+    # for r_w
+    if "v" in slots:
+        moments["v"] = x_map.T @ (s * wy) - y_map.T @ (s * wx)
+    if "w" in slots:
+        moments["w"] = y_map.T @ (s * vx) - x_map.T @ (s * vy)
+    return tuple(moments[k][:, 0] if single else moments[k] for k in slots)
 
 
 def trilinear_c(spaces: FunctionSpaces, z: FieldVector, w: FieldVector,

@@ -737,11 +737,11 @@ def check_forms(spaces: FunctionSpaces, trials: int = 100,
         # moment vector; cycling slots ascends monotonically
         u, v, w = (h1_unit(x) for x in best[1])
         for _ in range(30):
-            r_u, _, _ = forms.b_moment_vectors(spaces, u, v, w)
+            r_u, = forms.b_moment_vectors(spaces, u, v, w, "u")
             u = h1_unit(h_lu.solve(r_u))
-            _, r_v, _ = forms.b_moment_vectors(spaces, u, v, w)
+            r_v, = forms.b_moment_vectors(spaces, u, v, w, "v")
             v = h1_unit(h_lu.solve(r_v))
-            _, _, r_w = forms.b_moment_vectors(spaces, u, v, w)
+            r_w, = forms.b_moment_vectors(spaces, u, v, w, "w")
             w = h1_unit(h_lu.solve(r_w))
             ratio = abs(forms.trilinear_b(spaces, u, v, w))
             if ratio < measured * (1 + 1e-10):
@@ -764,7 +764,7 @@ def check_forms(spaces: FunctionSpaces, trials: int = 100,
 
     def dual_norms(x):
         """Dual norms of the columns of x, and H^-1 N(z) z on the free dofs."""
-        _, _, r = forms.b_moment_vectors(spaces, x, x, x)
+        r, = forms.b_moment_vectors(spaces, x, x, x, "w")
         r = r[free_v]
         y = h_free_lu.solve(r)
         return np.sum(r * y, axis=0) ** 0.5, y
@@ -792,8 +792,8 @@ def check_forms(spaces: FunctionSpaces, trials: int = 100,
             y = np.zeros(nv)
             y[free_v] = y_free[:, 0]
             zf = FieldVector("velocity", x)
-            r_u, r_v, _ = forms.b_moment_vectors(
-                spaces, zf, zf, FieldVector("velocity", y))
+            r_u, r_v = forms.b_moment_vectors(
+                spaces, zf, zf, FieldVector("velocity", y), "uv")
             grad = r_u + r_v
             grad[spaces.fixed_velocity_dofs] = 0.0
             q = val ** 2

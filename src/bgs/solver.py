@@ -12,12 +12,19 @@ Both linear systems keep one factor for a whole run.  Each is factored on
 the first pass of a run; every later pass, in the same step or a later
 one, solves it by GMRES right-preconditioned with that factor and started
 from the previous solution of the same system, and refactors only when
-GMRES misses its true-residual tolerance.  SuperLU factors the saddle
+GMRES misses its true-residual stop.  That stop is inexact: 1e-4 times
+the residual of the start, or 1e-12 relative if that is larger, because
+the next pass moves the solution by far more than such an error (Dembo,
+Eisenstat & Steihaug, SINUM 19, 1982).  The pass a step returns meets
+1e-12 in both systems: a last solve that stopped above it is polished by
+GMRES with the strict stop.  Every tolerance test takes its norms in
+units of the right side's largest entry, so no finite residual overflows,
+and a non-finite norm is a miss.  SuperLU factors the saddle
 system with threshold pivoting (a diagonal pivot stays unless it is 1000x
 smaller than its column's largest entry), which keeps COLAMD's
 fill-reducing order and cuts the L+U fill by about 30%; the temperature
 system keeps SuperLU's default.  A fresh factor's direct solve that
-misses the tolerance is polished by GMRES with that factor.
+misses 1e-12 is polished by GMRES with that factor.
 
 From the second step of a run on, a step starts its Picard loop from the
 linear extrapolation 2 x_n - x_(n-1) of velocity and temperature, which
@@ -233,36 +240,80 @@ class _Layout:
                               kept[self.indptr]), shape=self.shape)
 
 
-# Picard passes after the first of a run solve the saddle system by GMRES
-# preconditioned with the factor taken on the last direct solve.
+# Picard passes after the first of a run solve each system by GMRES
+# preconditioned with the factor taken on its last direct solve.  A lagged
+# solve stops at the larger of _KRYLOV_ETA times the residual of its start,
+# the previous solution, and _KRYLOV_RTOL times |rhs|: an error that small
+# is far below the change the next pass makes (the inexact Newton forcing
+# term of Dembo, Eisenstat & Steihaug, SINUM 19, 1982).  The pass a step
+# returns is brought to _KRYLOV_RTOL (`_LaggedFactor.polish`).
 _KRYLOV_RTOL = 1e-12
+_KRYLOV_ETA = 1e-4
 _KRYLOV_RESTART = 15
 _KRYLOV_MAXITER = 2     # two restart cycles: at most 30 iterations
 
 
-def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu,
-                  x0: np.ndarray) -> np.ndarray | None:
-    """Restarted GMRES right-preconditioned by lu, from x0; None unless the
-    true residual is tiny.
+def _unit_exponent(v: np.ndarray) -> int:
+    """e with max|v| = m 2^e, 1/2 <= m < 1 (0 for a zero or non-finite v).
 
-    Each z_j = lu.solve(v_j) is kept beside its Arnoldi vector v_j (the
-    flexible form of Saad, 1993), so the update x += Z y needs no further
-    solve: a call costs one LU solve per iteration.  With right
-    preconditioning the Arnoldi residual |g_{j+1}| is that of system @ x
-    itself, and a cycle stops once it is below the tolerance.
+    Norms of vectors scaled by 2^-e stay finite for any finite v, and the
+    scaling is exact, so a tolerance test in those units gives the same
+    answer as in plain units wherever plain norms neither overflow nor
+    underflow.
     """
-    rhs_norm = np.linalg.norm(rhs)
+    return math.frexp(max(float(v.max()), -float(v.min())))[1]
+
+
+def _norm_in_units(v: np.ndarray, e: int) -> float:
+    """The 2-norm of v in units of 2^e; inf, not a warning, if it overflows."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.linalg.norm(np.ldexp(v, -e)))
+
+
+def _meets_rtol(system: sp.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether |system @ x - rhs| <= _KRYLOV_RTOL |rhs|; a non-finite norm
+    on either side is a miss."""
+    e = _unit_exponent(rhs)
+    bound = _KRYLOV_RTOL * _norm_in_units(rhs, e)
+    return math.isfinite(bound) and _norm_in_units(system @ x - rhs, e) <= bound
+
+
+# an overflow or a NaN on the way ends in a non-finite norm, which is a miss
+@np.errstate(over="ignore", invalid="ignore")
+def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu, x0: np.ndarray,
+                  strict: bool = False) -> np.ndarray | None:
+    """Restarted GMRES right-preconditioned by lu, from x0; None unless the
+    true residual is below the stop.
+
+    The stop is max(_KRYLOV_RTOL |rhs|, _KRYLOV_ETA |rhs - system @ x0|),
+    or the first term alone when strict.  Each z_j = lu.solve(v_j) is kept
+    beside its Arnoldi vector v_j (the flexible form of Saad, 1993), so the
+    update x += Z y needs no further solve: a call costs one LU solve per
+    iteration.  With right preconditioning the Arnoldi residual |g_{j+1}|
+    is that of system @ x itself, and a cycle stops once it is below the
+    stop.  Norms, g and y are kept in units of 2^e, e from rhs
+    (`_unit_exponent`), so that no norm of a finite residual overflows;
+    a non-finite norm is a miss.
+    """
+    e = _unit_exponent(rhs)
+    rhs_norm = _norm_in_units(rhs, e)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
+    if not math.isfinite(rhs_norm):
+        return None
     stop = _KRYLOV_RTOL * rhs_norm
     m = _KRYLOV_RESTART
     x = x0.copy()
-    for _ in range(_KRYLOV_MAXITER):
+    for cycle in range(_KRYLOV_MAXITER):
         r = rhs - system @ x
-        beta = np.linalg.norm(r)
-        if not beta > stop:         # converged, or a non-finite residual
+        beta = _norm_in_units(r, e)
+        if not math.isfinite(beta):
+            return None
+        if cycle == 0 and not strict:
+            stop = max(stop, _KRYLOV_ETA * beta)
+        if beta <= stop:
             break
-        v, z = [r / beta], []
+        v, z = [np.ldexp(r, -e) / beta], []
         h = np.zeros((m + 1, m))    # Hessenberg, triangularized by rotations
         cs, sn = np.zeros(m), np.zeros(m)
         g = np.zeros(m + 1)
@@ -296,10 +347,10 @@ def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu,
         y = np.zeros(k)             # back substitution in the triangle
         for i in reversed(range(k)):
             y[i] = (g[i] - h[i, i + 1:k] @ y[i + 1:]) / h[i, i]
-        for y_i, z_i in zip(y, z):
+        for y_i, z_i in zip(np.ldexp(y, e), z):
             x += y_i * z_i
     # written so that a non-finite residual also rejects x
-    if not np.linalg.norm(system @ x - rhs) <= _KRYLOV_RTOL * np.linalg.norm(rhs):
+    if not _norm_in_units(system @ x - rhs, e) <= stop:
         return None
     return x
 
@@ -331,33 +382,59 @@ class _LaggedFactor:
     when GMRES misses its true-residual check.  factor maps a system to its
     SuperLU factor: `_factor_saddle` by default, `_factor_temperature` for
     the heat stage.  A fresh factor's direct solve is checked against the
-    same true-residual tolerance and polished by GMRES with that factor
-    when it misses, which the threshold-pivoted saddle factor can need.
+    strict tolerance and polished by GMRES with that factor when it misses,
+    which the threshold-pivoted saddle factor can need.  A lagged solve may
+    stop above the strict tolerance (`_krylov_solve`); `polish` brings the
+    last one to it.
     """
 
     def __init__(self, factor=_factor_saddle):
         self.factor = factor
         self.lu = None
         self.x = None
+        self.lagged = None      # (system, rhs) of the last solve, if lagged
 
     def solve(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        self.lagged = None
         if self.lu is not None:
             x = _krylov_solve(system, rhs, self.lu, self.x)
             if x is not None:
-                self.x = x
+                self.x, self.lagged = x, (system, rhs)
                 return x
             self.lu = None      # release the stale factor before refactoring
+        return self._solve_fresh(system, rhs)
+
+    def _solve_fresh(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
         self.lu = self.factor(system)
         x = self.lu.solve(rhs)
         # a non-finite x is left to the caller's DivergenceError; if GMRES
         # misses too, the direct solution stands
-        if (np.all(np.isfinite(x)) and not np.linalg.norm(system @ x - rhs)
-                <= _KRYLOV_RTOL * np.linalg.norm(rhs)):
-            polished = _krylov_solve(system, rhs, self.lu, x)
+        if np.all(np.isfinite(x)) and not _meets_rtol(system, x, rhs):
+            polished = _krylov_solve(system, rhs, self.lu, x, strict=True)
             if polished is not None:
                 x = polished
         self.x = x
         return x
+
+    def drop_last(self) -> None:
+        """Forget the last system: the next solve replaces it before any
+        polish, and dropping it early keeps one system alive, not two."""
+        self.lagged = None
+
+    def polish(self) -> np.ndarray:
+        """The last solution, brought to the strict tolerance if it came
+        from a lagged solve that stopped above it: by strict GMRES from it,
+        or by a fresh factor when that misses."""
+        if self.lagged is not None:
+            system, rhs = self.lagged
+            self.lagged = None
+            if not _meets_rtol(system, self.x, rhs):
+                x = _krylov_solve(system, rhs, self.lu, self.x, strict=True)
+                if x is None:
+                    self.lu = None
+                    x = self._solve_fresh(system, rhs)
+                self.x = x
+        return self.x
 
 
 class _StepMemory:
@@ -374,8 +451,9 @@ class _Operators:
     """What a run carries from step to step.
 
     The fixed matrices and system layouts; one lagged factor per linear
-    system; and the memory of the last step, from which the next step
-    extrapolates its Picard start.
+    system; the memory of the last step, from which the next step
+    extrapolates its Picard start; and the mass terms of the systems at
+    the run's dt.
     """
 
     mass_velocity: sp.csr_matrix
@@ -388,6 +466,7 @@ class _Operators:
     temperature_factor: _LaggedFactor = field(
         default_factory=lambda: _LaggedFactor(_factor_temperature))
     last_step: _StepMemory = field(default_factory=_StepMemory)
+    scaled_mass: dict = field(default_factory=dict)     # see _mass_over_dt
 
 
 def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
@@ -410,13 +489,10 @@ def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
             spaces.fixed_velocity_dofs))
 
 
-def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
-                       stage: str, lagged: _LaggedFactor) -> np.ndarray:
-    """Solve with essential dofs eliminated, through the lagged factor."""
-    system = layout.system(*block_data)
-    rhs = rhs * layout.mask
+def _checked(stage: str, solve, *args) -> np.ndarray:
+    """solve(*args), its failures raised as SolverError of the stage."""
     try:
-        x = lagged.solve(system, rhs)
+        x = solve(*args)
     except RuntimeError as exc:
         raise SolverError(f"{stage} stage: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -424,38 +500,58 @@ def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
     return x
 
 
+def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
+                       stage: str, lagged: _LaggedFactor) -> np.ndarray:
+    """Solve with essential dofs eliminated, through the lagged factor."""
+    system = layout.system(*block_data)
+    return _checked(stage, lagged.solve, system, rhs * layout.mask)
+
+
+def _mass_over_dt(spaces: FunctionSpaces, ops: _Operators,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern data of M / dt of the velocity and the temperature system.
+
+    Formed once per dt as M.data * (1.0 / dt), the product scipy's sparse
+    M / dt computes, so the systems equal the sparse-sum form bit for bit.
+    """
+    if dt not in ops.scaled_mass:
+        ops.scaled_mass.clear()
+        ops.scaled_mass[dt] = tuple(
+            pattern.data_of(mass) * (1.0 / dt) for pattern, mass in (
+                (spaces.velocity_pattern, ops.mass_velocity),
+                (spaces.temperature_pattern, ops.mass_temperature)))
+    return ops.scaled_mass[dt]
+
+
 # The blocks of each system are summed as data arrays on one operator
-# pattern.  M / dt is formed as M.data * (1.0 / dt), the product scipy's
-# sparse M / dt computes, so the systems equal the sparse-sum form bit
-# for bit.
+# pattern.  The right sides' M x_n / dt + load terms do not change between
+# the passes of a step, so a step forms them once.
 
 
-def _temperature_pass(spaces, problem, config, ops, w_old, z_coeff, w_coeff,
-                      load) -> np.ndarray:
+def _temperature_pass(spaces, problem, config, ops, rhs, z_coeff,
+                      w_coeff) -> np.ndarray:
     pattern = spaces.temperature_pattern
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
-    data = (pattern.data_of(ops.mass_temperature) * (1.0 / config.dt)
+    data = (_mass_over_dt(spaces, ops, config.dt)[1]
             + pattern.data_of(a_k))
     data += pattern.data_of(c_tilde)
-    rhs = ops.mass_temperature @ w_old / config.dt + load
     return _solve_constrained(ops.temperature_layout, (data,), rhs,
                               "temperature", ops.temperature_factor)
 
 
-def _velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new,
-                   load, lagged) -> tuple[np.ndarray, np.ndarray]:
+def _velocity_pass(spaces, problem, config, ops, rhs, z_coeff, w_new,
+                   lagged) -> tuple[np.ndarray, np.ndarray]:
     pattern = spaces.velocity_pattern
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
-    k_data = (pattern.data_of(ops.mass_velocity) * (1.0 / config.dt)
+    k_data = (_mass_over_dt(spaces, ops, config.dt)[0]
               + pattern.data_of(a_g))
     k_data += pattern.data_of(n_adv)
     d_data = spaces.divergence_pattern.data_of(ops.divergence)
     rhs = np.concatenate([
-        ops.mass_velocity @ z_old / config.dt + load
-        - problem.buoyancy_sign * (ops.buoyancy @ w_new),
+        rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),
         np.zeros(spaces.head_dim)])
     x = _solve_constrained(ops.saddle_layout, (k_data, d_data, d_data), rhs,
                            "velocity/head", lagged)
@@ -463,8 +559,12 @@ def _velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new,
 
 
 def _increment(new: np.ndarray, old: np.ndarray) -> float:
-    scale = max(float(np.linalg.norm(new)), 1e-14)
-    return float(np.linalg.norm(new - old)) / scale
+    """|new - old| / max(|new|, 1e-14), with the norms in units of max|new|;
+    inf or NaN when a norm is not finite."""
+    e = _unit_exponent(new)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scale = max(np.linalg.norm(np.ldexp(new, -e)), np.ldexp(1e-14, -e))
+        return float(np.linalg.norm(np.ldexp(new - old, -e)) / scale)
 
 
 def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
@@ -484,6 +584,8 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
 
     load_w = forms.assemble_temperature_load(spaces, problem.f2, problem.v2, t_new)
     load_z = forms.assemble_velocity_load(spaces, problem.f1, problem.v1, t_new)
+    rhs_w = ops.mass_temperature @ state.w.values / config.dt + load_w
+    rhs_z = ops.mass_velocity @ state.z.values / config.dt + load_z
 
     memory = ops.last_step
     if state is memory.end:
@@ -493,21 +595,23 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                               2.0 * state.w.values - memory.start.w.values)
     else:
         z_coeff, w_coeff = state.z, state.w
-    z_new = w_new = p_new = None
+    z_new = w_new = None
     passes = 0
     converged = True
     while True:
         passes += 1
-        w_next = _temperature_pass(spaces, problem, config, ops,
-                                   state.w.values, z_coeff, w_coeff, load_w)
-        z_next, p_next = _velocity_pass(spaces, problem, config, ops,
-                                        state.z.values, z_coeff, w_next, load_z,
-                                        ops.saddle_factor)
+        if passes > 1:      # the last pass is not the one the step returns
+            ops.temperature_factor.drop_last()
+            ops.saddle_factor.drop_last()
+        w_next = _temperature_pass(spaces, problem, config, ops, rhs_w,
+                                   z_coeff, w_coeff)
+        z_next, _ = _velocity_pass(spaces, problem, config, ops, rhs_z,
+                                   z_coeff, w_next, ops.saddle_factor)
         if z_new is not None:
             rel = max(_increment(z_next, z_new), _increment(w_next, w_new))
         else:
             rel = None
-        z_new, w_new, p_new = z_next, w_next, p_next
+        z_new, w_new = z_next, w_next
         if rel is not None and rel < config.picard_tol:
             break
         if passes >= config.picard_max:
@@ -519,6 +623,10 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
         z_coeff = FieldVector("velocity", z_new)
         w_coeff = FieldVector("temperature", w_new)
 
+    # the returned pass meets the strict tolerance in both systems
+    w_new = _checked("temperature", ops.temperature_factor.polish)
+    x = _checked("velocity/head", ops.saddle_factor.polish)
+    z_new, p_new = x[:spaces.velocity_dim], x[spaces.velocity_dim:]
     new_state = State(t=t_new,
                       z=FieldVector("velocity", z_new),
                       w=FieldVector("temperature", w_new),

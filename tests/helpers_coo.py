@@ -2,9 +2,12 @@
 
 Assembly used to scatter element blocks through a COO matrix on every
 call, and each Picard pass built its systems with `scipy.sparse.bmat`
-and masked out essential dofs with diagonal products.  The copies below
-are kept verbatim, so tests can require the pattern-based paths to give
-the same matrices and states bit for bit.
+and masked out essential dofs with diagonal products.  The velocity
+diffusion and advection used to build (nt, 12, 12) element blocks; they
+now sum their compact element values through per-mesh maps, so the
+construction of their blocks is kept here too.  The copies below are
+kept verbatim, so tests can require the pattern-based paths to give the
+same matrices and states bit for bit.
 """
 
 from unittest import mock
@@ -38,12 +41,42 @@ def _maps(spaces, pattern):
     raise AssertionError("pattern does not belong to these spaces")
 
 
+def velocity_diffusion_blocks(spaces, model, w_h):
+    """The element blocks of `forms.assemble_velocity_diffusion`."""
+    w_q = forms.scalar_at_quadrature(spaces, w_h)
+    w = spaces.quad_w * model.viscosity(w_q)
+    table, expand = spaces.diffusion_geometry
+    acc = np.zeros(table.shape[1:])
+    for q in range(w.shape[1]):
+        acc += w[:, q, None] * table[q]
+    return acc[:, expand]
+
+
+def velocity_advection_blocks(spaces, z_h):
+    """The element blocks of `forms.assemble_velocity_advection`."""
+    w = spaces.quad_w * forms.rot_at_quadrature(spaces, z_h)
+    s = np.einsum("tq,qab->tab", w, forms._sym_outer(spaces.p2_at_q))  # bit-symmetric
+    loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
+    loc[:, 1::2, 0::2] = s      # (z-hat x e_x) . e_y = +1
+    loc[:, 0::2, 1::2] = -s     # (z-hat x e_y) . e_x = -1
+    return loc
+
+
+_VELOCITY_BLOCKS = {forms.assemble_velocity_diffusion: velocity_diffusion_blocks,
+                    forms.assemble_velocity_advection: velocity_advection_blocks}
+
+
 def coo_assembled(assemble, spaces, *args):
     """What `assemble(spaces, *args)` returned through the COO scatter.
 
-    The element blocks are the program's own: each `Pattern.sum` call is
-    captured and replayed through `coo_scatter`.
+    The velocity diffusion and advection blocks come from the copies
+    above.  Every other assembler's element blocks are its own: its one
+    `Pattern.sum` call is captured and replayed through `coo_scatter`.
     """
+    if assemble in _VELOCITY_BLOCKS:
+        loc = _VELOCITY_BLOCKS[assemble](spaces, *args)
+        return coo_scatter(loc, spaces.vel_dofs, spaces.vel_dofs,
+                           spaces.velocity_pattern.shape)
     blocks = []
     original = forms.Pattern.sum
 
@@ -82,18 +115,17 @@ def _solve_constrained(matrix, rhs, fixed, stage, lagged):
     return x
 
 
-def temperature_pass(spaces, problem, config, ops, w_old, z_coeff, w_coeff,
-                     load):
+def temperature_pass(spaces, problem, config, ops, rhs, z_coeff, w_coeff):
+    """The heat pass; rhs is M w_n / dt + load, which the step forms."""
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
     system = ops.mass_temperature / config.dt + a_k + c_tilde
-    rhs = ops.mass_temperature @ w_old / config.dt + load
     return _solve_constrained(system, rhs, spaces.fixed_temperature_dofs,
                               "temperature", ops.temperature_factor)
 
 
-def velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new, load,
-                  lagged):
+def velocity_pass(spaces, problem, config, ops, rhs, z_coeff, w_new, lagged):
+    """The saddle pass; rhs is M z_n / dt + load, which the step forms."""
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
@@ -101,8 +133,7 @@ def velocity_pass(spaces, problem, config, ops, z_old, z_coeff, w_new, load,
     saddle = sp.bmat([[k_block, ops.divergence.T],
                       [ops.divergence, None]], format="csr")
     rhs = np.concatenate([
-        ops.mass_velocity @ z_old / config.dt + load
-        - problem.buoyancy_sign * (ops.buoyancy @ w_new),
+        rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),
         np.zeros(spaces.head_dim)])
     x = _solve_constrained(saddle, rhs, spaces.fixed_velocity_dofs,
                            "velocity/head", lagged)

@@ -195,15 +195,63 @@ def test_overflowing_field_norms_exit_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_underflowing_re_ra_denominator_exits_3(tmp_path, capsys):
-    # gamma0 * k0 * c1 * c1' is 0.0 in floating point
+@pytest.mark.parametrize("solver_cfg", [
+    {}, {"constants": {"c1": 1.0, "c1_prime": 1.0, "d": 1.0}}])
+def test_underflowing_re_ra_denominator_exits_2(tmp_path, capsys, monkeypatch,
+                                                solver_cfg):
+    # gamma0 * k0 * c1 * c1' is 0.0 in floating point, with the default
+    # constants and with constants given as numbers
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly before the config was rejected")
+
+    monkeypatch.setattr(forms, "build_spaces", no_assembly)
     tiny = {"kind": "constant", "value": 1e-200}
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, coefficients={"viscosity": tiny, "conductivity": tiny})
+    write_config(cfg, coefficients={"viscosity": tiny, "conductivity": tiny},
+                 solver=solver_cfg)
+    for command in ("run", "mms"):
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: config: solver.constants: 4*d/(gamma0*c1)")
+        assert "Traceback" not in err
+
+
+def test_underflowing_re_ra_denominator_exits_3(tmp_path, capsys):
+    # with estimated constants the run finds gamma0 * k0 * c1 * c1' = 0.0
+    tiny = {"kind": "constant", "value": 1e-200}
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, coefficients={"viscosity": tiny, "conductivity": tiny},
+                 solver={"constants": "estimate"})
     assert cli.main(["run", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ERROR: solver: step 1 (t=0.1): Re/Ra not representable")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem, dt, gravity", [
+    # the 2-norm of the buoyancy right side overflows
+    ("cavity_convection", 0.01, [1e308, 1e308]),
+    ("cavity_convection", 0.1, [0.0, 1e308]),
+    ("mms", 0.1, [0.0, 1e308])])
+def test_overflowing_right_side_is_not_a_converged_solve(tmp_path, capsys,
+                                                        problem, dt, gravity):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, data={"problem": problem},
+                 time={"dt": dt, "t_end": 2 * dt},
+                 physics={"beta": 1.0, "gravity": gravity})
+    code = cli.main(["run", "--config", str(cfg)])  # warnings are errors here
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("ERROR: solver: step 1 ")
+        return
+    assert code == 0
+    lines = read_lines(tmp_path / "out" / "diagnostics.csv")
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, (float(v) for v in line.split(","))))
+        assert all(np.isfinite(v) for v in row.values())
+        assert row["div_residual"] <= 1e-10 * max(1.0, row["z_L4"])
 
 
 def test_run_vtk_snapshots(tmp_path):

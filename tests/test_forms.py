@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import (
@@ -203,6 +204,27 @@ def test_assembly_matches_coo_scatter_bit_for_bit(mesh):
     assert forms.assemble_temperature_advection(s, z_zero).nnz == 0
 
 
+def test_sparsetools_csr_matvec_adds_each_row_in_order_onto_the_output():
+    # SumMap relies on this private scipy kernel: a row's products are added
+    # in storage order onto the output it is given, so an output of -0.0
+    # keeps the sign of a sum of negative zeros.  The public `@` starts
+    # from +0.0 and loses it.
+    from scipy.sparse import _sparsetools
+    ptr = np.array([0, 2, 5], dtype=np.int32)
+    cols = np.array([0, 1, 2, 3, 4], dtype=np.int32)
+    x = np.array([-0.0, -0.0, 1e16, -1e16, 1.0])
+    out = np.full(2, -0.0)
+    _sparsetools.csr_matvec(2, 5, ptr, cols, np.ones(5), x, out)
+    assert out[0] == 0.0 and np.signbit(out[0])
+    # (1e16 - 1e16) + 1 is 1; adding 1 to 1e16 first would round it away
+    assert out[1] == 1.0
+    out = np.array([-0.0, 0.5])
+    _sparsetools.csr_matvec(2, 5, ptr, cols, np.ones(5), x, out)
+    assert out[1] == 1.0        # (0.5 + 1e16) rounds to 1e16
+    public = sp.csr_matrix((np.ones(5), cols, ptr), shape=(2, 5)) @ x
+    assert not np.signbit(public[0])
+
+
 def _same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -283,6 +305,23 @@ def test_batched_trilinear_forms_match_per_field_copies(mesh):
         assert forms.trilinear_b(s, u, v, v) == 0.0
 
 
+def test_selected_moments_match_all_three_bit_for_bit(spaces_4x4, rng):
+    fields = [_random_field(spaces_4x4, "velocity", rng) for _ in range(3)]
+    x = _velocity_columns([_random_field(spaces_4x4, "velocity", rng)
+                           for _ in range(4)])
+    # distinct fields, and one stack in every slot as the audit passes it
+    for args in (fields, [x, x, x]):
+        full = dict(zip("uvw", forms.b_moment_vectors(spaces_4x4, *args)))
+        for slots in ("u", "v", "w", "uv", "vw", "wu", "uvw"):
+            got = forms.b_moment_vectors(spaces_4x4, *args, slots)
+            assert len(got) == len(slots)
+            for name, moment in zip(slots, got):
+                _same_bytes(moment, full[name])
+    for bad in ("", "x", "uvx"):
+        with pytest.raises(ValueError, match="slots"):
+            forms.b_moment_vectors(spaces_4x4, *fields, bad)
+
+
 def test_advection_times_field_is_third_moment(spaces_4x4, rng):
     # the audit's dual norm takes N(z) z as b(z, z, phi_i); keep it tied to
     # the operator the solver assembles
@@ -296,11 +335,13 @@ def test_advection_times_field_is_third_moment(spaces_4x4, rng):
 
 def test_element_tables_are_read_only_and_built_once():
     s = build_spaces(build_rectangle_mesh(3, 3, ("left",)))
-    cached = ("p2_grad_by_node", "diffusion_geometry", "quadrature_maps")
+    cached = ("p2_grad_by_node", "diffusion_geometry", "quadrature_maps",
+              "velocity_diffusion_map", "velocity_advection_map")
     assert not any(name in vars(s) for name in cached)
     w = forms.zeros_field(s, "temperature")
     z = forms.zeros_field(s, "velocity")
     forms.assemble_velocity_diffusion(s, _TANH_MODEL, w)
+    forms.assemble_velocity_advection(s, z)
     forms.rot_at_quadrature(s, z)
     forms.trilinear_b(s, z, z, z)
     first = [vars(s)[name] for name in cached]
@@ -316,6 +357,17 @@ def test_element_tables_are_read_only_and_built_once():
     for mat in s.quadrature_maps:
         for arr in (mat.data, mat.indices, mat.indptr):
             assert not arr.flags.writeable
+    # the sum maps hold int32 indices and no float array of their own: their
+    # weights view the mesh's one buffer of ones
+    for sum_map in (s.velocity_diffusion_map, s.velocity_advection_map,
+                    s.velocity_pattern.element_map,
+                    s.temperature_pattern.element_map):
+        assert set(vars(sum_map)) == {"ptr", "cols", "size", "weights"}
+        for arr in (sum_map.ptr, sum_map.cols):
+            assert arr.dtype == np.int32 and not arr.flags.writeable
+        assert sum_map.weights.base is s.unit_weights
+        assert len(sum_map.weights) == len(sum_map.cols)
+    assert np.all(s.unit_weights == 1.0) and not s.unit_weights.flags.writeable
 
 
 def test_boundary_and_edge_arrays_are_read_only():

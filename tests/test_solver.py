@@ -340,7 +340,7 @@ def test_single_step_matches_dense_oracle():
 
 
 def _krylov_never_converges(monkeypatch):
-    monkeypatch.setattr(solver, "_krylov_solve", lambda *args: None)
+    monkeypatch.setattr(solver, "_krylov_solve", lambda *args, **kwargs: None)
 
 
 def _count_calls(monkeypatch, name, module=spla):
@@ -526,14 +526,14 @@ def _assert_mid_run_fallback(monkeypatch, system):
     call_steps = []     # 0-based step index of every GMRES call of `system`
     steps_done = []
 
-    def krylov(system, rhs, lu, x0):
+    def krylov(system, rhs, lu, x0, **kwargs):
         dim = system.shape[0]
         x0_gaps[dim].append(np.max(np.abs(x0 - solutions[dim][-1])))
         if dim == missed:
             call_steps.append(len(steps_done))
             if call_steps[-1] == 1 and call_steps.count(1) == 2:
                 return None                 # its second GMRES call of step 2
-        return real_krylov(system, rhs, lu, x0)
+        return real_krylov(system, rhs, lu, x0, **kwargs)
 
     def lagged_solve(self, system, rhs):
         x = real_solve(self, system, rhs)
@@ -623,9 +623,9 @@ def lagged_saddle_call():
     real_krylov = solver._krylov_solve
     calls = []
 
-    def krylov(system, rhs, lu, x0):
+    def krylov(system, rhs, lu, x0, **kwargs):
         calls.append((system, rhs.copy(), lu, x0.copy()))
-        return real_krylov(system, rhs, lu, x0)
+        return real_krylov(system, rhs, lu, x0, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_krylov_solve", krylov)
@@ -706,6 +706,124 @@ def test_krylov_exact_factor_stops_without_divide_warning(lagged_saddle_call):
     assert np.array_equal(x, rhs) and len(exact.solved) == 1
 
 
+def _lagged_saddle_calls(spaces):
+    """(system, rhs, lu, x0) of every saddle GMRES call of an 8x8 MMS run."""
+    real_krylov = solver._krylov_solve
+    saddle_dim = _system_dims(spaces)["saddle"]
+    calls = []
+
+    def krylov(system, rhs, lu, x0, **kwargs):
+        if system.shape[0] == saddle_dim:
+            calls.append((system, rhs.copy(), lu, x0.copy()))
+        return real_krylov(system, rhs, lu, x0, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_krylov_solve", krylov)
+        _mms_run(spaces)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def farthest_saddle_call():
+    """The saddle GMRES call of an 8x8 MMS run that starts farthest from its
+    solution, relative to its right side: the first call of a step."""
+    spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
+    return max(_lagged_saddle_calls(spaces), key=lambda c: _relative_residual(
+        c[0], c[3], c[1]))
+
+
+def test_krylov_stops_at_eta_times_the_initial_residual(farthest_saddle_call):
+    system, rhs, lu, x0 = farthest_saddle_call
+    r0 = np.linalg.norm(rhs - system @ x0)
+    assert solver._KRYLOV_ETA * r0 > 1e-12 * np.linalg.norm(rhs)
+    loose, strict = _CountingLU(lu.solve), _CountingLU(lu.solve)
+    x = solver._krylov_solve(system, rhs, loose, x0)
+    x_strict = solver._krylov_solve(system, rhs, strict, x0, strict=True)
+    assert np.linalg.norm(system @ x - rhs) <= solver._KRYLOV_ETA * r0
+    assert _relative_residual(system, x, rhs) > 1e-12
+    assert _relative_residual(system, x_strict, rhs) <= 1e-12
+    assert 0 < len(loose.solved) < len(strict.solved)
+    # the loose solution is a start the strict stop accepts after a polish
+    polished = solver._krylov_solve(system, rhs, lu, x, strict=True)
+    assert _relative_residual(system, polished, rhs) <= 1e-12
+
+
+def test_krylov_and_residual_check_are_scale_safe(farthest_saddle_call):
+    system, rhs, lu, x0 = farthest_saddle_call
+    x = solver._krylov_solve(system, rhs, lu, x0, strict=True)
+    assert x is not None and solver._meets_rtol(system, x, rhs)
+    # scaled by 2^960, every norm of the plain form overflows, but the
+    # iterates scale exactly
+    k = 960
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.linalg.norm(np.ldexp(rhs, k)) == np.inf
+    big = solver._krylov_solve(system, np.ldexp(rhs, k), lu, np.ldexp(x0, k),
+                               strict=True)
+    assert big is not None and big.tobytes() == np.ldexp(x, k).tobytes()
+    assert solver._meets_rtol(system, big, np.ldexp(rhs, k))
+    assert not solver._meets_rtol(system, np.ldexp(x0, k), np.ldexp(rhs, k))
+    # a non-finite norm is a miss, never a pass
+    for bad in (np.inf, np.nan):
+        rhs_bad = rhs.copy()
+        rhs_bad[-1] = bad
+        assert solver._krylov_solve(system, rhs_bad, lu, x0) is None
+        assert not solver._meets_rtol(system, x, rhs_bad)
+        x_bad = x.copy()
+        x_bad[0] = bad
+        assert not solver._meets_rtol(system, x_bad, rhs)
+    huge = np.full_like(x, 1e300)
+    assert not solver._meets_rtol(system, huge, rhs)
+
+
+def _run_checking_returned_passes(spaces, problem, config):
+    """The run; the relative residual of each returned state in the two
+    systems of its step's last pass; and the LU solves of the run."""
+    real_solve, real_step, real_splu = (solver._LaggedFactor.solve,
+                                        solver.step, spla.splu)
+    dims = _system_dims(spaces)
+    last, residuals, factors = {}, [], []
+
+    def lagged_solve(self, system, rhs):
+        last[system.shape[0]] = (system, rhs)
+        return real_solve(self, system, rhs)
+
+    def checked_step(*args, **kwargs):
+        state, diag = real_step(*args, **kwargs)
+        for dim, x in ((dims["temperature"], state.w.values),
+                       (dims["saddle"], np.concatenate([state.z.values,
+                                                        state.P.values]))):
+            system, rhs = last[dim]
+            residuals.append(_relative_residual(system, x, rhs))
+        return state, diag
+
+    def splu(matrix, *args, **kwargs):
+        factors.append(_CountingLU(real_splu(matrix, *args, **kwargs).solve))
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._LaggedFactor, "solve", lagged_solve)
+        mp.setattr(solver, "step", checked_step)
+        mp.setattr(spla, "splu", splu)
+        states, diags = run(spaces, problem, config)
+    return states, diags, residuals, sum(len(f.solved) for f in factors)
+
+
+@pytest.mark.parametrize("case", ["cavity_8x8", "mms_4x4"])
+def test_inexact_lagged_solves_keep_passes_and_return_strict_steps(case):
+    spaces, problem, config = _bit_case(case)
+    states, diags, residuals, lu_solves = _run_checking_returned_passes(
+        spaces, problem, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_KRYLOV_ETA", 0.0)      # every solve strict
+        ref_states, ref_diags, ref_residuals, ref_lu_solves = (
+            _run_checking_returned_passes(spaces, problem, config))
+    assert [d.picard_iters for d in diags] == [d.picard_iters for d in ref_diags]
+    assert len(residuals) == 2 * len(diags)
+    assert max(residuals) <= 1e-12 and max(ref_residuals) <= 1e-12
+    assert lu_solves < ref_lu_solves
+    _assert_states_match(states, ref_states, 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # the saddle factor: threshold pivoting, and the check of its direct solve
 
@@ -762,11 +880,12 @@ def _stress_saddle_system():
     z = 100 * np.random.default_rng(0).standard_normal(spaces.velocity_dim)
     z[spaces.fixed_velocity_dofs] = 0.0
     captured = _CapturedSystem()
+    ops = solver.build_operators(spaces, problem)
     solver._velocity_pass(
-        spaces, problem, SolverConfig(dt=100.0, t_end=100.0),
-        solver.build_operators(spaces, problem), z,
+        spaces, problem, SolverConfig(dt=100.0, t_end=100.0), ops,
+        ops.mass_velocity @ z / 100.0 + np.zeros(spaces.velocity_dim),
         forms.FieldVector("velocity", z), np.zeros(spaces.temperature_dim),
-        np.zeros(spaces.velocity_dim), captured)
+        captured)
     return captured.system, captured.rhs
 
 
@@ -790,7 +909,7 @@ def test_fresh_saddle_factor_polishes_a_direct_solve_that_misses(monkeypatch):
     assert len(factors) == 1 and len(factors[0].solved) == 2
 
     # when GMRES misses too, the direct solve stands as it is
-    monkeypatch.setattr(solver, "_krylov_solve", lambda *args: None)
+    monkeypatch.setattr(solver, "_krylov_solve", lambda *args, **kwargs: None)
     assert np.array_equal(solver._LaggedFactor().solve(system, rhs), direct)
 
 
@@ -823,16 +942,20 @@ def _still_cavity():
                                z0=lambda x: np.zeros((len(x), 2)))
 
 
-@pytest.mark.parametrize("case", ["cavity_8x8", "mms_4x4"])
-def test_step_matches_bmat_passes_bit_for_bit(case):
+def _bit_case(case):
+    """(spaces, problem, config) of the two runs the system checks use."""
     if case == "cavity_8x8":
         spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
-        problem, config = _still_cavity(), SolverConfig(dt=0.01, t_end=0.05)
-    else:
-        spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
-        model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
-        problem = oracles.make_mms_problem(model, beta=0.5)
-        config = SolverConfig(dt=1e-3, t_end=0.01)
+        return spaces, _still_cavity(), SolverConfig(dt=0.01, t_end=0.05)
+    spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    problem = oracles.make_mms_problem(model, beta=0.5)
+    return spaces, problem, SolverConfig(dt=1e-3, t_end=0.01)
+
+
+@pytest.mark.parametrize("case", ["cavity_8x8", "mms_4x4"])
+def test_step_matches_bmat_passes_bit_for_bit(case):
+    spaces, problem, config = _bit_case(case)
     # D stores exact zeros, so every saddle system drops some entries
     assert np.any(forms.assemble_divergence_constraint(spaces).data == 0.0)
 
