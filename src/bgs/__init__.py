@@ -21,7 +21,8 @@ from .oracles import (CauchyReport, ContractionReport, FormsAuditReport,
                       exact_temperature, exact_velocity, make_mms_problem)
 from .solver import (Diagnostics, DivergenceError, ProblemData, SolverConfig,
                      SolverError, State, compute_diagnostics,
-                     estimate_constants, initialize_state, run, step)
+                     estimate_constants, initialize_state, run, step,
+                     steps)
 
 __version__ = "0.1.0"
 
@@ -37,6 +38,7 @@ __all__ = [
     "eval_conductivity", "eval_viscosity", "exact_head", "exact_temperature",
     "exact_velocity",
     "initialize_state", "interpolate_scalar", "interpolate_velocity",
-    "make_mms_problem", "refine_uniform", "run", "step", "tanh_blend_law",
+    "make_mms_problem", "refine_uniform", "run", "step", "steps",
+    "tanh_blend_law",
     "triangle_areas", "zeros_field",
 ]

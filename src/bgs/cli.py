@@ -128,19 +128,6 @@ def _validate_law(chk: _Check, raw, path):
         chk.fail(f"{path}.hi", "must be >= lo")
 
 
-def _re_ra_factors_finite(cst, gamma0: float = 1.0, k0: float = 1.0) -> bool:
-    """Whether the constant factors of Re and Ra are finite, computed with
-    the operations compute_diagnostics uses; gamma0 and k0 are the lower
-    bounds of the viscosity and conductivity laws."""
-    c = {**solver.DEFAULT_CONSTANTS, **cst}
-    try:
-        return (math.isfinite(4.0 * c["d"] / (gamma0 * c["c1"]))
-                and math.isfinite(4.0 * c["d"] ** 2
-                                  / (gamma0 * k0 * c["c1"] * c["c1_prime"])))
-    except (OverflowError, ZeroDivisionError):
-        return False
-
-
 def validate_config(raw) -> dict:
     """Check the entire document, collect all violations, merge defaults."""
     chk = _Check()
@@ -224,21 +211,25 @@ def validate_config(raw) -> dict:
         chk.number(solv, "solver", "picard_max", lo=1, integer=True)
         chk.number(solv, "solver", "picard_tol", lo=0.0, strict_lo=True)
         cst = solv.get("constants", {})
-        # with numbers for the constants, the Re/Ra prefactors must be
-        # finite for the laws' lower bounds gamma0 and k0; estimated
-        # constants are checked when the run computes Re and Ra
+        # with numbers for the constants, Re and Ra at unit L4 norms, that
+        # is their constant factors, must be finite for the laws' lower
+        # bounds gamma0 and k0; estimated constants are checked when the
+        # run computes Re and Ra
         if cst != "estimate":
             if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
                 before = len(chk.errors)
                 for key in ("c1", "c1_prime", "d"):
                     chk.number(cst, "solver.constants", key, lo=0.0,
                                strict_lo=True)
-                if (len(chk.errors) == before and floors is not None
-                        and not _re_ra_factors_finite(cst, *floors)):
-                    chk.fail("solver.constants",
-                             "4*d/(gamma0*c1) and 4*d**2/(gamma0*k0*c1*c1_prime) "
-                             "must be finite, with gamma0 and k0 the lower "
-                             "bounds of the viscosity and conductivity laws")
+                if len(chk.errors) == before and floors is not None:
+                    try:
+                        solver.re_ra(cst, *floors, 1.0, 1.0)
+                    except solver.DivergenceError:
+                        chk.fail("solver.constants",
+                                 "4*d/(gamma0*c1) and 4*d**2/(gamma0*k0*c1*"
+                                 "c1_prime) must be finite, with gamma0 and k0 "
+                                 "the lower bounds of the viscosity and "
+                                 "conductivity laws")
 
     out = raw.get("output", {})
     if chk.section(out, "output", {"directory", "vtk_every", "csv_name"}):
@@ -380,11 +371,15 @@ def _fmt(value) -> str:
 
 
 def _write_rows(path: str, header, rows) -> None:
-    lines = [",".join(header)] if isinstance(header, (list, tuple)) else [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if v is not None else "" for v in row))
+    """Write the header, then each row of the iterable rows as it comes,
+    flushed, so that the rows before a failure are on disk."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write((",".join(header) if isinstance(header, (list, tuple))
+                  else header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if v is not None else "" for v in row)
+                     + "\n")
+            fh.flush()
 
 
 def write_diagnostics_csv(path: str, diagnostics) -> None:
@@ -441,19 +436,28 @@ def _cmd_run(cfg, seed: int) -> int:
 
     outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
-    states, diagnostics = solver.run(spaces, problem, config)
-
-    write_diagnostics_csv(os.path.join(outdir, cfg["output"]["csv_name"]),
-                          diagnostics)
     _write_constants(outdir, constants, source)
     every = int(cfg["output"]["vtk_every"])
-    if every > 0:
-        last = len(states) - 1
-        for i, state in enumerate(states):
-            if i % every == 0 or i == last:
-                write_vtk(os.path.join(outdir, f"fields_{i:06d}.vtk"),
-                          spaces, state)
-    if any(not d.picard_converged for d in diagnostics):
+    capped = False
+
+    def snapshot(i, state):
+        if every > 0 and (i % every == 0 or i == config.num_steps):
+            write_vtk(os.path.join(outdir, f"fields_{i:06d}.vtk"), spaces, state)
+
+    def streamed():
+        # each step's VTK file and CSV row are written before the next step
+        nonlocal capped
+        state = solver.initialize_state(spaces, problem)
+        snapshot(0, state)
+        for i, (state, diag) in enumerate(
+                solver.steps(spaces, problem, config, state), start=1):
+            snapshot(i, state)
+            capped = capped or not diag.picard_converged
+            yield diag
+
+    write_diagnostics_csv(os.path.join(outdir, cfg["output"]["csv_name"]),
+                          streamed())
+    if capped:
         print("warning: Picard loop hit its iteration cap in at least one step")
     print(f"run: {config.num_steps} steps on {mesh.num_vertices} vertices "
           f"-> {outdir}")

@@ -26,12 +26,15 @@ fill-reducing order and cuts the L+U fill by about 30%; the temperature
 system keeps SuperLU's default.  A fresh factor's direct solve that
 misses 1e-12 is polished by GMRES with that factor.
 
-From the second step of a run on, a step starts its Picard loop from the
-linear extrapolation 2 x_n - x_(n-1) of velocity and temperature, which
-is O(dt^2) from the new fixed point where the previous state is O(dt)
-(the extrapolated linearization of Baker, Dougalis & Karakashian, Math.
-Comp. 39, 1982).  The loop converges to the same fixed point; only pass
-counts and rounding change.
+A run is the generator `steps`: it holds the operators, both factors and
+the state before the current one, and yields each new state with its
+diagnostics as its step ends; `run` lists what it yields.  From the second
+step on, `steps` hands each step the state before its start, and the step
+starts its Picard loop from the linear extrapolation 2 x_n - x_(n-1) of
+velocity and temperature, which is O(dt^2) from the new fixed point where
+the previous state is O(dt) (the extrapolated linearization of Baker,
+Dougalis & Karakashian, Math. Comp. 39, 1982).  The loop converges to the
+same fixed point; only pass counts and rounding change.
 """
 
 from __future__ import annotations
@@ -146,8 +149,7 @@ class SolverConfig:
 
     @property
     def num_steps(self) -> int:
-        # guard against 0.5/0.01 rounding up to 51 steps
-        return max(1, math.ceil(self.t_end / self.dt - 1e-9))
+        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)
@@ -437,24 +439,10 @@ class _LaggedFactor:
         return self.x
 
 
-class _StepMemory:
-    """The state step last returned with a set of operators, and the state
-    that step started from: the two a following step extrapolates."""
-
-    def __init__(self):
-        self.start = None
-        self.end = None
-
-
 @dataclass(frozen=True)
 class _Operators:
-    """What a run carries from step to step.
-
-    The fixed matrices and system layouts; one lagged factor per linear
-    system; the memory of the last step, from which the next step
-    extrapolates its Picard start; and the mass terms of the systems at
-    the run's dt.
-    """
+    """What a run carries from step to step: the fixed matrices and system
+    layouts, and one lagged factor per linear system."""
 
     mass_velocity: sp.csr_matrix
     mass_temperature: sp.csr_matrix
@@ -465,8 +453,6 @@ class _Operators:
     saddle_factor: _LaggedFactor = field(default_factory=_LaggedFactor)
     temperature_factor: _LaggedFactor = field(
         default_factory=lambda: _LaggedFactor(_factor_temperature))
-    last_step: _StepMemory = field(default_factory=_StepMemory)
-    scaled_mass: dict = field(default_factory=dict)     # see _mass_over_dt
 
 
 def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
@@ -507,47 +493,31 @@ def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
     return _checked(stage, lagged.solve, system, rhs * layout.mask)
 
 
-def _mass_over_dt(spaces: FunctionSpaces, ops: _Operators,
-                  dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern data of M / dt of the velocity and the temperature system.
-
-    Formed once per dt as M.data * (1.0 / dt), the product scipy's sparse
-    M / dt computes, so the systems equal the sparse-sum form bit for bit.
-    """
-    if dt not in ops.scaled_mass:
-        ops.scaled_mass.clear()
-        ops.scaled_mass[dt] = tuple(
-            pattern.data_of(mass) * (1.0 / dt) for pattern, mass in (
-                (spaces.velocity_pattern, ops.mass_velocity),
-                (spaces.temperature_pattern, ops.mass_temperature)))
-    return ops.scaled_mass[dt]
-
-
 # The blocks of each system are summed as data arrays on one operator
-# pattern.  The right sides' M x_n / dt + load terms do not change between
-# the passes of a step, so a step forms them once.
+# pattern.  The mass terms M / dt and the right sides' M x_n / dt + load
+# terms do not change between the passes of a step, so a step forms them
+# once.  M / dt is formed as M.data * (1.0 / dt), the product scipy's sparse
+# M / dt computes, so the systems equal the sparse-sum form bit for bit.
 
 
-def _temperature_pass(spaces, problem, config, ops, rhs, z_coeff,
+def _temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
                       w_coeff) -> np.ndarray:
     pattern = spaces.temperature_pattern
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
-    data = (_mass_over_dt(spaces, ops, config.dt)[1]
-            + pattern.data_of(a_k))
+    data = mass_dt + pattern.data_of(a_k)
     data += pattern.data_of(c_tilde)
     return _solve_constrained(ops.temperature_layout, (data,), rhs,
                               "temperature", ops.temperature_factor)
 
 
-def _velocity_pass(spaces, problem, config, ops, rhs, z_coeff, w_new,
+def _velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
                    lagged) -> tuple[np.ndarray, np.ndarray]:
     pattern = spaces.velocity_pattern
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
-    k_data = (_mass_over_dt(spaces, ops, config.dt)[0]
-              + pattern.data_of(a_g))
+    k_data = mass_dt + pattern.data_of(a_g)
     k_data += pattern.data_of(n_adv)
     d_data = spaces.divergence_pattern.data_of(ops.divergence)
     rhs = np.concatenate([
@@ -569,15 +539,15 @@ def _increment(new: np.ndarray, old: np.ndarray) -> float:
 
 def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
          state: State, t_next: float | None = None,
-         operators: _Operators | None = None) -> tuple[State, Diagnostics]:
+         operators: _Operators | None = None,
+         previous: State | None = None) -> tuple[State, Diagnostics]:
     """One backward-Euler update: heat stage, then velocity/head saddle.
 
     Without operators the step builds its own, so it factors both systems
-    afresh and starts its Picard loop from state.  run passes one set to
-    every step, and with it both factors.  Given operators and the state
-    it returned last with them, a step starts from 2 x_n - x_(n-1) of
-    velocity and temperature, x_(n-1) being the state that step started
-    from; given any other state, it starts from that state.
+    afresh.  steps passes one set to every step, and with it both factors.
+    Given previous, the state one step before state, the Picard loop
+    starts from 2 x_n - x_(n-1) of velocity and temperature; without it,
+    from state.
     """
     ops = operators if operators is not None else build_operators(spaces, problem)
     t_new = state.t + config.dt if t_next is None else t_next
@@ -586,13 +556,14 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
     load_z = forms.assemble_velocity_load(spaces, problem.f1, problem.v1, t_new)
     rhs_w = ops.mass_temperature @ state.w.values / config.dt + load_w
     rhs_z = ops.mass_velocity @ state.z.values / config.dt + load_z
+    scale = 1.0 / config.dt
+    mass_w = spaces.temperature_pattern.data_of(ops.mass_temperature) * scale
+    mass_z = spaces.velocity_pattern.data_of(ops.mass_velocity) * scale
 
-    memory = ops.last_step
-    if state is memory.end:
-        z_coeff = FieldVector("velocity",
-                              2.0 * state.z.values - memory.start.z.values)
+    if previous is not None:
+        z_coeff = FieldVector("velocity", 2.0 * state.z.values - previous.z.values)
         w_coeff = FieldVector("temperature",
-                              2.0 * state.w.values - memory.start.w.values)
+                              2.0 * state.w.values - previous.w.values)
     else:
         z_coeff, w_coeff = state.z, state.w
     z_new = w_new = None
@@ -603,9 +574,9 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
         if passes > 1:      # the last pass is not the one the step returns
             ops.temperature_factor.drop_last()
             ops.saddle_factor.drop_last()
-        w_next = _temperature_pass(spaces, problem, config, ops, rhs_w,
+        w_next = _temperature_pass(spaces, problem, config, ops, mass_w, rhs_w,
                                    z_coeff, w_coeff)
-        z_next, _ = _velocity_pass(spaces, problem, config, ops, rhs_z,
+        z_next, _ = _velocity_pass(spaces, problem, config, ops, mass_z, rhs_z,
                                    z_coeff, w_next, ops.saddle_factor)
         if z_new is not None:
             rel = max(_increment(z_next, z_new), _increment(w_next, w_new))
@@ -631,7 +602,6 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                       z=FieldVector("velocity", z_new),
                       w=FieldVector("temperature", w_new),
                       P=FieldVector("head", p_new))
-    memory.start, memory.end = state, new_state
     diag = compute_diagnostics(spaces, new_state, config.constants_for_re_ra,
                                problem.model, picard_iters=passes,
                                picard_converged=converged,
@@ -639,23 +609,49 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
     return new_state, diag
 
 
+def steps(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
+          state: State):
+    """Advance state to t_end, yielding (state, diagnostics) after each
+    step; a SolverError is raised again with its step number and time."""
+    ops = build_operators(spaces, problem)
+    previous = None
+    for i in range(config.num_steps):
+        t_next = (i + 1) * config.dt
+        try:
+            new_state, diag = step(spaces, problem, config, state, t_next=t_next,
+                                   operators=ops, previous=previous)
+        except SolverError as exc:
+            raise type(exc)(f"step {i + 1} (t={t_next:g}): {exc}") from exc
+        previous, state = state, new_state
+        yield state, diag
+
+
 def run(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
         initial_state: State | None = None):
     """Advance from t=0 to t_end; returns (states incl. initial, diagnostics)."""
     state = initialize_state(spaces, problem) if initial_state is None else initial_state
-    ops = build_operators(spaces, problem)
-    states = [state]
-    diagnostics = []
-    for i in range(config.num_steps):
-        t_next = (i + 1) * config.dt
-        try:
-            state, diag = step(spaces, problem, config, state,
-                               t_next=t_next, operators=ops)
-        except SolverError as exc:
-            raise type(exc)(f"step {i + 1} (t={t_next:g}): {exc}") from exc
-        states.append(state)
-        diagnostics.append(diag)
-    return states, diagnostics
+    pairs = list(steps(spaces, problem, config, state))
+    return [state] + [s for s, _ in pairs], [d for _, d in pairs]
+
+
+def re_ra(constants, gamma0: float, k0: float, z_l4: float,
+          w_l4: float) -> tuple[float, float]:
+    """The indicators Re = 4 d |z|_L4 / (gamma0 c1) and
+    Ra = 4 d^2 |w|_L4^2 / (gamma0 k0 c1 c1') of the uniqueness condition
+    Re + Ra < 1, with gamma0 and k0 the lower bounds of viscosity and
+    conductivity.  Raises DivergenceError when either is not a finite
+    float."""
+    cst = _as_constants(constants)
+    reason = f"Re/Ra not representable with z_L4={z_l4:.3e}, w_L4={w_l4:.3e}"
+    try:
+        re = 4.0 * cst["d"] * z_l4 / (gamma0 * cst["c1"])
+        ra = (4.0 * cst["d"] ** 2 * w_l4 ** 2
+              / (gamma0 * k0 * cst["c1"] * cst["c1_prime"]))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DivergenceError(f"{reason}: {exc}") from exc
+    if not (math.isfinite(re) and math.isfinite(ra)):
+        raise DivergenceError(f"{reason}: Re={re}, Ra={ra}")
+    return re, ra
 
 
 def compute_diagnostics(spaces: FunctionSpaces, state: State, constants,
@@ -663,18 +659,11 @@ def compute_diagnostics(spaces: FunctionSpaces, state: State, constants,
                         picard_converged: bool = True,
                         divergence_matrix: sp.spmatrix | None = None) -> Diagnostics:
     """Norms of the current fields plus the uniqueness-condition indicator."""
-    cst = _as_constants(constants)
     d_mat = (divergence_matrix if divergence_matrix is not None
              else forms.assemble_divergence_constraint(spaces))
     z_l4 = forms.l4_norm(spaces, state.z)
     w_l4 = forms.l4_norm(spaces, state.w)
-    try:
-        re = 4.0 * cst["d"] * z_l4 / (model.gamma0 * cst["c1"])
-        ra = (4.0 * cst["d"] ** 2 * w_l4 ** 2
-              / (model.gamma0 * model.k0 * cst["c1"] * cst["c1_prime"]))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DivergenceError(f"Re/Ra not representable with z_L4={z_l4:.3e}, "
-                              f"w_L4={w_l4:.3e}: {exc}") from exc
+    re, ra = re_ra(constants, model.gamma0, model.k0, z_l4, w_l4)
     return Diagnostics(
         t=state.t,
         kinetic=forms.l2_norm_sq(spaces, state.z),

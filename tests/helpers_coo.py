@@ -115,8 +115,10 @@ def _solve_constrained(matrix, rhs, fixed, stage, lagged):
     return x
 
 
-def temperature_pass(spaces, problem, config, ops, rhs, z_coeff, w_coeff):
-    """The heat pass; rhs is M w_n / dt + load, which the step forms."""
+def temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
+                     w_coeff):
+    """The heat pass; rhs is M w_n / dt + load, which the step forms.  The
+    step's M / dt data, mass_dt, is not used: M / dt is formed here."""
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
     system = ops.mass_temperature / config.dt + a_k + c_tilde
@@ -124,8 +126,10 @@ def temperature_pass(spaces, problem, config, ops, rhs, z_coeff, w_coeff):
                               "temperature", ops.temperature_factor)
 
 
-def velocity_pass(spaces, problem, config, ops, rhs, z_coeff, w_new, lagged):
-    """The saddle pass; rhs is M z_n / dt + load, which the step forms."""
+def velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
+                  lagged):
+    """The saddle pass; rhs is M z_n / dt + load, which the step forms.  The
+    step's M / dt data, mass_dt, is not used: M / dt is formed here."""
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)

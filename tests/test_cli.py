@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from bgs import cli, forms, oracles
+from bgs import cli, forms, oracles, solver
 
 
 def write_config(path, **overrides):
@@ -287,6 +287,69 @@ def test_vtk_every_zero_writes_no_snapshots(tmp_path):
     write_config(cfg)
     assert cli.main(["run", "--config", str(cfg)]) == 0
     assert list((tmp_path / "out").glob("*.vtk")) == []
+
+
+def _streamed_cavity(tmp_path, name):
+    """A 4x4 tanh cavity config of 5 steps with a VTK file every 2 steps."""
+    cfg = tmp_path / f"{name}.json"
+    write_config(cfg, mesh={"nx": 4, "ny": 4},
+                 coefficients={"viscosity": {"kind": "tanh_blend", "lo": 0.5,
+                                             "hi": 2.0}},
+                 data={"problem": "cavity_convection"}, physics={"beta": 1.0},
+                 time={"dt": 0.1, "t_end": 0.5},
+                 output={"directory": str(tmp_path / name), "vtk_every": 2})
+    return cfg
+
+
+def test_run_streams_the_bytes_of_run_and_write_diagnostics_csv(tmp_path):
+    cfg_path = _streamed_cavity(tmp_path, "cli")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+
+    cfg = cli.load_config(str(cfg_path))
+    spaces = forms.build_spaces(cli.build_mesh(cfg))
+    problem = cli.build_problem(cfg, cli.build_model(cfg))
+    constants, _ = cli._resolve_constants(cfg, spaces)
+    states, diags = solver.run(spaces, problem,
+                               cli.build_solver_config(cfg, constants))
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    cli.write_diagnostics_csv(str(ref / "diagnostics.csv"), diags)
+    for i in (0, 2, 4, 5):
+        cli.write_vtk(str(ref / f"fields_{i:06d}.vtk"), spaces, states[i])
+
+    out = tmp_path / "cli"
+    assert (sorted(p.name for p in out.iterdir())
+            == sorted([p.name for p in ref.iterdir()] + ["constants.json"]))
+    for p in ref.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+def test_failed_run_keeps_every_finished_step_on_disk(tmp_path, capsys,
+                                                      monkeypatch):
+    assert cli.main(["run", "--config",
+                     str(_streamed_cavity(tmp_path, "whole"))]) == 0
+    real_step = solver.step
+
+    def failing_step(*args, t_next=None, **kwargs):
+        if abs(t_next - 0.3) < 1e-12:
+            raise solver.SolverError("velocity/head stage: induced failure")
+        return real_step(*args, t_next=t_next, **kwargs)
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    cfg = _streamed_cavity(tmp_path, "failed")
+    assert cli.main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: solver: step 3 (t=0.3): velocity/head stage")
+
+    out, whole = tmp_path / "failed", tmp_path / "whole"
+    # the header and the rows of steps 1 and 2, as a whole run writes them
+    assert read_lines(out / "diagnostics.csv") == read_lines(
+        whole / "diagnostics.csv")[:3]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "constants.json", "diagnostics.csv", "fields_000000.vtk",
+        "fields_000002.vtk"]
+    for name in ("constants.json", "fields_000000.vtk", "fields_000002.vtk"):
+        assert (out / name).read_bytes() == (whole / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

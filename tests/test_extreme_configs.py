@@ -1,0 +1,122 @@
+"""The numeric contract of `bgs run` on extreme but valid configs.
+
+Every config below passes the schema.  A run must exit 0 with finite
+output, 2 for a config error or 3 for a numeric one, and never raise.  On
+exit 0 the discrete divergence stays at rounding level: `div_residual` is
+at most _DIV_BOUND * max(1, z_L4).  The largest ratio over these configs
+is about 1e-15 (the dt 1e-12 cavity), and 1e-17 on the 16x16 demo cavity,
+so the bound has a margin of 1e5 while a solve that returns its start
+unconverged reads O(1).  On exit 3 the CSV holds the header and one row
+per step finished before the failing one.  Meshes stay at 2x2, since
+neither nx nor the refinements is bounded.
+"""
+
+import json
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from bgs import cli
+
+_DIV_BOUND = 1e-10
+
+_CAVITY = {"data": {"problem": "cavity_convection"}}
+_MMS = {"data": {"problem": "mms"}}
+_WIDE_TANH = {"kind": "tanh_blend", "lo": 1e-6, "hi": 1e6}
+_WIDE_AFFINE = {"kind": "clamped_affine", "intercept": 1.0, "slope": 1e6,
+                "lo": 1e-6, "hi": 1e6}
+
+
+def _with(base, **sections):
+    return {**base, **sections}
+
+
+# (id, config sections, whether validation rejects it)
+CASES = [
+    ("zero", {}, False),
+    ("mms", _MMS, False),
+    ("cavity", _CAVITY, False),
+    ("beta_0", _with(_CAVITY, physics={"beta": 0.0}), False),
+    ("beta_1e150", _with(_CAVITY, physics={"beta": 1e150}), False),
+    ("beta_1e300", _with(_CAVITY, physics={"beta": 1e300}), False),
+    ("beta_1e300_mms_flipped",
+     _with(_MMS, physics={"beta": 1e300, "buoyancy_sign_flag": -1}), False),
+    ("gravity_1e308",
+     _with(_CAVITY, physics={"beta": 1.0, "gravity": [1e308, 1e308]}), False),
+    ("gravity_-1e308",
+     _with(_CAVITY, physics={"beta": 1.0, "gravity": [-1e308, -1e308]}), False),
+    ("gravity_1e-308",
+     _with(_CAVITY, physics={"beta": 1.0, "gravity": [1e-308, 1e-308]}), False),
+    ("gravity_0", _with(_CAVITY, physics={"beta": 1.0, "gravity": [0.0, 0.0]}),
+     False),
+    ("dt_1e-12", _with(_CAVITY, time={"dt": 1e-12, "t_end": 2e-12}), False),
+    ("dt_1e6", _with(_CAVITY, time={"dt": 1e6, "t_end": 2e6}), False),
+    ("dt_1e6_mms", _with(_MMS, time={"dt": 1e6, "t_end": 2e6}), False),
+    ("wide_tanh_laws",
+     _with(_CAVITY, physics={"beta": 1.0},
+           coefficients={"viscosity": _WIDE_TANH, "conductivity": _WIDE_TANH}),
+     False),
+    ("wide_affine_laws",
+     _with(_MMS, coefficients={"viscosity": _WIDE_AFFINE,
+                               "conductivity": _WIDE_AFFINE}), False),
+    ("constants_1e300",
+     _with(_CAVITY, solver={"constants": {"c1": 1e300, "c1_prime": 1e300,
+                                          "d": 1e300}}), True),
+    ("constants_1e-300",
+     _with(_CAVITY, solver={"constants": {"c1": 1e-300, "c1_prime": 1e-300,
+                                          "d": 1e-300}}), True),
+    ("c1_1e300", _with(_CAVITY, solver={"constants": {"c1": 1e300,
+                                                      "c1_prime": 1e300}}),
+     False),
+    # finite factors, but Re of the run's large velocity overflows
+    ("re_overflows",
+     _with(_CAVITY, physics={"beta": 1e8},
+           solver={"constants": {"c1": 1e-150, "c1_prime": 1e160,
+                                 "d": 5e153}}), False),
+    ("picard_tol_1e-300", _with(_CAVITY, solver={"picard_tol": 1e-300}), False),
+    ("picard_tol_1e300", _with(_MMS, solver={"picard_tol": 1e300}), False),
+    ("picard_max_1", _with(_MMS, solver={"picard_max": 1}), False),
+]
+
+
+@pytest.mark.parametrize("sections, rejected",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_extreme_config_keeps_the_exit_code_contract(tmp_path, capsys,
+                                                     sections, rejected):
+    out = tmp_path / "out"
+    cfg = {"mesh": {"nx": 2, "ny": 2}, "time": {"dt": 0.1, "t_end": 0.3},
+           "output": {"directory": str(out), "vtk_every": 1}, **sections}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # the one warning a run may give is a Picard loop stopped at its cap
+    assert all(w.category is RuntimeWarning
+               and str(w.message).startswith("Picard loop stopped")
+               for w in caught), [str(w.message) for w in caught]
+
+    if rejected:
+        assert code == 2 and err.startswith("ERROR: config: ")
+        assert not out.exists()
+        return
+    assert code in (0, 3), err
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == cli.CSV_HEADER
+    if code == 3:
+        failed = int(re.match(r"ERROR: solver: step (\d+) ", err).group(1))
+        assert len(lines) == failed
+        assert len(list(out.glob("fields_*.vtk"))) == failed
+        return
+    steps = round(cfg["time"]["t_end"] / cfg["time"]["dt"])
+    assert len(lines) == 1 + steps
+    for line in lines[1:]:
+        row = dict(zip(cli.CSV_HEADER.split(","),
+                       (float(v) for v in line.split(","))))
+        assert all(np.isfinite(v) for v in row.values())
+        assert row["div_residual"] <= _DIV_BOUND * max(1.0, row["z_L4"])

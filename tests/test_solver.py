@@ -287,11 +287,12 @@ def test_run_prefixes_failures_with_step_index(spaces_2x2, monkeypatch):
 
     real_step = solver_mod.step
 
-    def failing_step(spaces, problem, config, state, t_next=None, operators=None):
+    def failing_step(spaces, problem, config, state, t_next=None, operators=None,
+                     previous=None):
         if t_next is not None and abs(t_next - 0.2) < 1e-12:
             raise SolverError("velocity/head stage: induced failure")
-        return real_step(spaces, problem, config, state,
-                         t_next=t_next, operators=operators)
+        return real_step(spaces, problem, config, state, t_next=t_next,
+                         operators=operators, previous=previous)
 
     monkeypatch.setattr(solver_mod, "step", failing_step)
     with pytest.raises(SolverError, match=r"step 2 \(t=0.2\)"):
@@ -493,7 +494,7 @@ def test_run_extrapolates_the_picard_start_on_mms():
     _assert_states_match(states, stepped, 1e-10)
 
 
-def test_step_extrapolates_only_from_the_state_it_returned():
+def test_step_extrapolates_only_when_given_the_previous_state():
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
     model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
     problem = oracles.make_mms_problem(model, beta=0.5)
@@ -504,13 +505,13 @@ def test_step_extrapolates_only_from_the_state_it_returned():
 
     ops = solver.build_operators(spaces, problem)
     returned, _ = step(spaces, problem, config, state0, operators=ops)
-    # equal fields, but not the state these operators returned
-    _, copied = step(spaces, problem, config, dataclasses.replace(returned),
-                     operators=ops)
-    assert copied.picard_iters == fresh.picard_iters
+    # the state these operators returned, but no previous state
+    _, plain = step(spaces, problem, config, returned, operators=ops)
+    assert plain.picard_iters == fresh.picard_iters
 
     returned, _ = step(spaces, problem, config, state0, operators=ops)
-    _, extrapolated = step(spaces, problem, config, returned, operators=ops)
+    _, extrapolated = step(spaces, problem, config, returned, operators=ops,
+                           previous=state0)
     assert extrapolated.picard_iters < fresh.picard_iters
 
 
@@ -617,20 +618,28 @@ class _CountingLU:
 
 @pytest.fixture(scope="module")
 def lagged_saddle_call():
-    """(system, rhs, lu, x0) of the first GMRES call of step 2 of an 8x8
-    MMS run: the factor is the one taken on step 1's first pass."""
+    """(system, rhs, lu, x0) of the first saddle GMRES call of step 2 of an
+    8x8 MMS run: the factor is the one taken on step 1's first pass."""
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
-    real_krylov = solver._krylov_solve
-    calls = []
+    saddle_dim = _system_dims(spaces)["saddle"]
+    real_krylov, real_step = solver._krylov_solve, solver.step
+    calls, steps_done = [], []      # the saddle calls of step 2
 
     def krylov(system, rhs, lu, x0, **kwargs):
-        calls.append((system, rhs.copy(), lu, x0.copy()))
+        if system.shape[0] == saddle_dim and len(steps_done) == 1:
+            calls.append((system, rhs.copy(), lu, x0.copy()))
         return real_krylov(system, rhs, lu, x0, **kwargs)
+
+    def counted_step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        steps_done.append(None)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_krylov_solve", krylov)
-        _, diags = _mms_run(spaces)
-    return calls[diags[0].picard_iters - 1]
+        mp.setattr(solver, "step", counted_step)
+        _mms_run(spaces)
+    return calls[0]
 
 
 def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
@@ -638,7 +647,7 @@ def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
     system, rhs, lu, x0 = lagged_saddle_call
     counted = _CountingLU(lu.solve)
     x0_before = x0.copy()
-    x = solver._krylov_solve(system, rhs, counted, x0)
+    x = solver._krylov_solve(system, rhs, counted, x0, strict=True)
     assert x is not None
     assert np.linalg.norm(system @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     # only Arnoldi vectors are solved, one per iteration: unit vectors, the
@@ -883,6 +892,7 @@ def _stress_saddle_system():
     ops = solver.build_operators(spaces, problem)
     solver._velocity_pass(
         spaces, problem, SolverConfig(dt=100.0, t_end=100.0), ops,
+        spaces.velocity_pattern.data_of(ops.mass_velocity) * (1.0 / 100.0),
         ops.mass_velocity @ z / 100.0 + np.zeros(spaces.velocity_dim),
         forms.FieldVector("velocity", z), np.zeros(spaces.temperature_dim),
         captured)
