@@ -60,6 +60,15 @@ def _default_config() -> dict:
     }
 
 
+def _is_finite(val) -> bool:
+    """Whether a JSON number is a finite float; an integer beyond float
+    range is not."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 class _Check:
     def __init__(self):
         self.errors = []
@@ -86,7 +95,7 @@ class _Check:
         if integer and not (isinstance(val, int) or float(val).is_integer()):
             self.fail(f"{path}.{key}", f"must be an integer, got {val!r}")
             return
-        if not math.isfinite(val):
+        if not _is_finite(val):
             self.fail(f"{path}.{key}", "must be finite")
             return
         if lo is not None and (val <= lo if strict_lo else val < lo):
@@ -174,7 +183,7 @@ def validate_config(raw) -> dict:
         if grav is not None and grav != "constant_down":
             ok = (isinstance(grav, list) and len(grav) == 2
                   and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                          and math.isfinite(c) for c in grav))
+                          and _is_finite(c) for c in grav))
             if not ok:
                 chk.fail("physics.gravity",
                          'must be "constant_down" or a finite 2-vector')
@@ -197,10 +206,13 @@ def validate_config(raw) -> dict:
         t_end = tsec.get("t_end", cfg["time"]["t_end"])
         if (isinstance(dt, (int, float)) and isinstance(t_end, (int, float))
                 and not isinstance(dt, bool) and not isinstance(t_end, bool)
-                and math.isfinite(dt) and math.isfinite(t_end)
+                and _is_finite(dt) and _is_finite(t_end)
                 and dt > 0 and t_end > 0):
             if dt > t_end * (1 + 1e-12):
                 chk.fail("time.dt", "must not exceed time.t_end")
+            elif not math.isfinite(t_end / dt):
+                chk.fail("time.t_end", f"must be a finite number of time.dt "
+                         f"steps, got {t_end!r}/{dt!r}")
             elif not solver.whole_steps(dt, t_end):
                 chk.fail("time.t_end", f"must be a whole number of time.dt "
                          f"steps, got {t_end!r}/{dt!r}")

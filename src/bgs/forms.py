@@ -79,10 +79,11 @@ class FunctionSpaces:
     """Geometry, dof maps, constraints and quadrature tables for one mesh.
 
     The CSR pattern of each operator pair, the element geometry
-    (node-major P2 gradients, velocity diffusion table) and the quadrature
-    maps of the trilinear forms are built on first use, not by
-    build_spaces, so a caller that assembles nothing does not pay for
-    them.  Every array is read-only, so no cached table goes stale.
+    (node-major P2 gradients, velocity diffusion table, products of the P1
+    gradients) and the quadrature maps of the trilinear forms are built on
+    first use, not by build_spaces, so a caller that assembles nothing
+    does not pay for them.  Every array is read-only, so no cached table
+    goes stale.
     """
 
     mesh: Mesh
@@ -142,6 +143,15 @@ class FunctionSpaces:
         g = np.ascontiguousarray(self.p2_grad_at_q.transpose(3, 2, 0, 1))
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def p1_grad_outer(self) -> np.ndarray:
+        """P1 gradient products, (nt, 3, 3, 2): [t, a, b, d] is
+        d(mu_a)/d(x_d) * d(mu_b)/d(x_d) on triangle t."""
+        g = self.p1_grad
+        outer = g[:, :, None, :] * g[:, None, :, :]
+        outer.setflags(write=False)
+        return outer
 
     @cached_property
     def diffusion_geometry(self) -> tuple[np.ndarray, np.ndarray]:
@@ -581,6 +591,11 @@ class Pattern:
     case; an operator whose blocks hold fewer distinct values maps them
     through the same slot pointers (``velocity_diffusion_map``,
     ``velocity_advection_map`` of FunctionSpaces).
+
+    The data arrays are what a Picard pass adds: the ``*_data`` kernels of
+    the four per-pass operators return them, and no matrix is built.
+    ``matrix`` wraps data as a canonical CSR matrix, for the ``assemble_*``
+    functions; ``data_of`` reads data back off such a matrix.
     """
 
     def __init__(self, row_map: np.ndarray, col_map: np.ndarray, shape,
@@ -667,7 +682,8 @@ def _summed(loc: np.ndarray, pattern: Pattern) -> np.ndarray:
 
 
 def _scatter(loc: np.ndarray, pattern: Pattern) -> sp.csr_matrix:
-    """Sum the element blocks loc[t] into CSR on the operator's pattern."""
+    """Sum the element blocks loc[t] into CSR on the operator's pattern:
+    the fixed operators, which a run assembles once."""
     return pattern.matrix(_summed(loc, pattern))
 
 
@@ -685,6 +701,24 @@ def assemble_mass(spaces: FunctionSpaces, which: str) -> sp.csr_matrix:
     raise ValueError(f"unknown mass space {which!r}")
 
 
+# The four operators that depend on the iterate each have a data kernel:
+# the data of the assembled matrix on the operator's fixed pattern, with
+# 0.0 where the matrix stores nothing (what Pattern.data_of gives), so a
+# Picard pass adds them as arrays and builds no matrix.
+
+
+def velocity_diffusion_data(spaces: FunctionSpaces, model,
+                            w_h: FieldVector) -> np.ndarray:
+    """Data of assemble_velocity_diffusion on spaces.velocity_pattern."""
+    w_q = scalar_at_quadrature(spaces, w_h)
+    w = spaces.quad_w * model.viscosity(w_q)
+    table, _ = spaces.diffusion_geometry
+    acc = np.zeros(table.shape[1:])
+    for q in range(w.shape[1]):
+        acc += w[:, q, None] * table[q]
+    return _finite(spaces.velocity_diffusion_map(acc))
+
+
 def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
                                 w_h: FieldVector) -> sp.csr_matrix:
     """Rotational diffusion with div-div stabilization.
@@ -693,25 +727,24 @@ def assemble_velocity_diffusion(spaces: FunctionSpaces, model,
     + div phi_j div phi_i) with w_h evaluated through its piecewise-linear
     interpolant at quadrature points.  Symmetric positive semidefinite.
     """
+    return spaces.velocity_pattern.matrix(
+        velocity_diffusion_data(spaces, model, w_h))
+
+
+def temperature_diffusion_data(spaces: FunctionSpaces, model,
+                               w_h: FieldVector) -> np.ndarray:
+    """Data of assemble_temperature_diffusion on spaces.temperature_pattern."""
     w_q = scalar_at_quadrature(spaces, w_h)
-    w = spaces.quad_w * model.viscosity(w_q)
-    table, _ = spaces.diffusion_geometry
-    acc = np.zeros(table.shape[1:])
-    for q in range(w.shape[1]):
-        acc += w[:, q, None] * table[q]
-    data = _finite(spaces.velocity_diffusion_map(acc))
-    return spaces.velocity_pattern.matrix(data)
+    w = (spaces.quad_w * model.conductivity(w_q)).sum(axis=1)
+    return _summed(np.einsum("t,tabd->tab", w, spaces.p1_grad_outer),
+                   spaces.temperature_pattern)
 
 
 def assemble_temperature_diffusion(spaces: FunctionSpaces, model,
                                    w_h: FieldVector) -> sp.csr_matrix:
     """Conductivity-weighted stiffness sum_j (k(w_h) d_j mu d_j nu)."""
-    w_q = scalar_at_quadrature(spaces, w_h)
-    w = (spaces.quad_w * model.conductivity(w_q)).sum(axis=1)
-    g = spaces.p1_grad                                   # (nt, 3, 2)
-    outer = g[:, :, None, :] * g[:, None, :, :]          # (nt, 3, 3, 2)
-    return _scatter(np.einsum("t,tabd->tab", w, outer),
-                    spaces.temperature_pattern)
+    return spaces.temperature_pattern.matrix(
+        temperature_diffusion_data(spaces, model, w_h))
 
 
 def assemble_divergence_constraint(spaces: FunctionSpaces) -> sp.csr_matrix:
@@ -722,13 +755,9 @@ def assemble_divergence_constraint(spaces: FunctionSpaces) -> sp.csr_matrix:
     return _scatter(loc, spaces.divergence_pattern)
 
 
-def assemble_velocity_advection(spaces: FunctionSpaces,
-                                z_h: FieldVector) -> sp.csr_matrix:
-    """Rotational advection N with N[i, j] = integral(rot(z_h) (z-hat x phi_j) . phi_i).
-
-    The integrand is pointwise antisymmetric in (i, j), so the assembled
-    matrix is exactly skew-symmetric.
-    """
+def velocity_advection_data(spaces: FunctionSpaces,
+                            z_h: FieldVector) -> np.ndarray:
+    """Data of assemble_velocity_advection on spaces.velocity_pattern."""
     w = spaces.quad_w * rot_at_quadrature(spaces, z_h)
     n = 21 * len(w)
     values = np.empty(2 * n + 1)    # s, -s and the +0.0 sentinel
@@ -739,8 +768,38 @@ def assemble_velocity_advection(spaces: FunctionSpaces,
               out=values[:n].reshape(-1, 21))
     np.negative(values[:n], out=values[n:2 * n])
     values[2 * n] = 0.0
-    data = _finite(spaces.velocity_advection_map(values))
-    return spaces.velocity_pattern.matrix(data)
+    return _finite(spaces.velocity_advection_map(values))
+
+
+def assemble_velocity_advection(spaces: FunctionSpaces,
+                                z_h: FieldVector) -> sp.csr_matrix:
+    """Rotational advection N with N[i, j] = integral(rot(z_h) (z-hat x phi_j) . phi_i).
+
+    The integrand is pointwise antisymmetric in (i, j), so the assembled
+    matrix is exactly skew-symmetric.
+    """
+    return spaces.velocity_pattern.matrix(velocity_advection_data(spaces, z_h))
+
+
+def _temperature_advection_difference(spaces: FunctionSpaces,
+                                      z_h: FieldVector) -> np.ndarray:
+    """C - C^T on spaces.temperature_pattern, where
+    C[i, j] = integral((z_h . grad mu_j) mu_i)."""
+    z_q = velocity_at_quadrature(spaces, z_h)
+    g = spaces.p1_grad
+    zg = z_q[..., 0, None] * g[:, None, :, 0] + z_q[..., 1, None] * g[:, None, :, 1]
+    loc = np.einsum("tq,qi,tqj->tij", spaces.quad_w, spaces.p1_at_q, zg)
+    pattern = spaces.temperature_pattern
+    one_sided = _summed(loc, pattern)
+    return one_sided - one_sided[pattern.transposed_slots]
+
+
+def temperature_advection_data(spaces: FunctionSpaces,
+                               z_h: FieldVector) -> np.ndarray:
+    """Data of assemble_temperature_advection on spaces.temperature_pattern:
+    +0.0 where C - C^T is an exact zero, which the matrix does not store."""
+    diff = _temperature_advection_difference(spaces, z_h)
+    return np.where(diff != 0, diff * 0.5, 0.0)
 
 
 def assemble_temperature_advection(spaces: FunctionSpaces,
@@ -750,16 +809,10 @@ def assemble_temperature_advection(spaces: FunctionSpaces,
     C[i, j] = 1/2 integral((z_h . grad mu_j) mu_i)
             - 1/2 integral((z_h . grad mu_i) mu_j).
     """
-    z_q = velocity_at_quadrature(spaces, z_h)
-    g = spaces.p1_grad
-    zg = z_q[..., 0, None] * g[:, None, :, 0] + z_q[..., 1, None] * g[:, None, :, 1]
-    loc = np.einsum("tq,qi,tqj->tij", spaces.quad_w, spaces.p1_at_q, zg)
-    pattern = spaces.temperature_pattern
-    one_sided = _summed(loc, pattern)
+    diff = _temperature_advection_difference(spaces, z_h)
     # what scipy's 0.5 * (C - C.T) stores: exact zeros are dropped
-    diff = one_sided - one_sided[pattern.transposed_slots]
     keep = diff != 0
-    return pattern.matrix(diff[keep] * 0.5, keep)
+    return spaces.temperature_pattern.matrix(diff[keep] * 0.5, keep)
 
 
 def assemble_buoyancy(spaces: FunctionSpaces, beta: float, g) -> sp.csr_matrix:
@@ -861,9 +914,7 @@ def assemble_velocity_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
 def assemble_temperature_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
     w = spaces.quad_w
     m3 = np.einsum("tq,qab->tab", w, _sym_outer(spaces.p1_at_q))
-    g = spaces.p1_grad
-    outer_k = g[:, :, None, :] * g[:, None, :, :]
-    k3 = np.einsum("t,tabd->tab", w.sum(axis=1), outer_k)
+    k3 = np.einsum("t,tabd->tab", w.sum(axis=1), spaces.p1_grad_outer)
     return _scatter(m3 + k3, spaces.temperature_pattern)
 
 

@@ -26,6 +26,12 @@ fill-reducing order and cuts the L+U fill by about 30%; the temperature
 system keeps SuperLU's default.  A fresh factor's direct solve that
 misses 1e-12 is polished by GMRES with that factor.
 
+A Picard pass builds one matrix per system and no other.  It adds the
+data arrays of its operators on their fixed patterns (the data kernels of
+`bgs.forms`), the system's layout places them into CSC through a
+structure it keeps until the set of exact zeros changes, and GMRES and
+the residual checks multiply by scipy's CSC kernel directly.
+
 A run is the generator `steps`: it holds the operators, both factors and
 the state before the current one, and yields each new state with its
 diagnostics as its step ends; `run` lists what it yields.  From the second
@@ -46,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import forms
 from .coefficients import CoefficientModel, constant_model
@@ -118,9 +125,9 @@ class State:
 
 
 def whole_steps(dt: float, t_end: float) -> bool:
-    """Whether t_end/dt is within 1e-9 of a whole number."""
+    """Whether t_end/dt is finite and within 1e-9 of a whole number."""
     ratio = t_end / dt
-    return abs(ratio - round(ratio)) <= 1e-9
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,6 +210,12 @@ class _Layout:
       ordering and the rounding of every solve.  The saddle factor pivots
       with a threshold (``_SADDLE_PIVOT_THRESH``) so that the rows COLAMD's
       column order puts on the diagonal mostly stay there.
+
+    Which entries are exact zeros rarely changes in a run: the divergence
+    blocks' static zeros always, the velocity block's only on passes such
+    as those at z = 0.  So the layout keeps the CSC structure of the last
+    zero set it saw, read-only, and rebuilds it only when the block data
+    has exact zeros at other entries.
     """
 
     def __init__(self, n: int, blocks, fixed: np.ndarray):
@@ -220,7 +233,9 @@ class _Layout:
         is_fixed = np.zeros(n, dtype=bool)
         is_fixed[fixed] = True
         free = ~(is_fixed[rows] | is_fixed[cols])
-        # source `offset` is the 1.0 appended after the block data
+        # source `offset` is the 1.0 appended after the block data; an exact
+        # zero is dropped from the system where the source is a free entry
+        self.droppable = np.append(free, False)
         rows = np.concatenate([rows[free], fixed])
         cols = np.concatenate([cols[free], fixed])
         src = np.concatenate([src[free], np.full(len(fixed), offset)])
@@ -232,14 +247,34 @@ class _Layout:
         self.mask = np.ones(n)
         self.mask[fixed] = 0.0
         self.shape = (n, n)
+        for arr in (self.droppable, self.src, self.indices, self.indptr,
+                    self.mask):
+            arr.setflags(write=False)
+        # (droppable sources that hold exact zeros, kept sources, indices,
+        # indptr) of the structure last built
+        self.structure = None
 
     def system(self, *block_data: np.ndarray) -> sp.csc_matrix:
-        values = np.concatenate(block_data + (np.ones(1),))[self.src]
-        keep = values != 0
+        data = np.concatenate(block_data + (np.ones(1),))
+        zeros = np.flatnonzero(self.droppable & (data == 0))
+        if self.structure is None or not np.array_equal(zeros,
+                                                        self.structure[0]):
+            self.structure = self._structure(data, zeros)
+        _, kept_src, indices, indptr = self.structure
+        return sp.csc_matrix((data[kept_src], indices, indptr),
+                             shape=self.shape)
+
+    def _structure(self, data: np.ndarray, zeros: np.ndarray) -> tuple:
+        """The CSC structure of the entries of data that are not exact
+        zeros; zeros lists the droppable sources that are."""
+        keep = data[self.src] != 0
         kept = np.zeros(len(keep) + 1, dtype=np.int32)
         np.cumsum(keep, out=kept[1:])
-        return sp.csc_matrix((values[keep], self.indices[keep],
-                              kept[self.indptr]), shape=self.shape)
+        structure = (zeros, self.src[keep], self.indices[keep],
+                     kept[self.indptr])
+        for arr in structure:
+            arr.setflags(write=False)
+        return structure
 
 
 # Picard passes after the first of a run solve each system by GMRES
@@ -272,12 +307,22 @@ def _norm_in_units(v: np.ndarray, e: int) -> float:
         return float(np.linalg.norm(np.ldexp(v, -e)))
 
 
+def _matvec(system: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
+    """system @ x: the kernel scipy's `@` calls for a CSC matrix, into the
+    zeroed buffer it allocates, without the dispatch around it."""
+    out = np.zeros(system.shape[0])
+    _sparsetools.csc_matvec(*system.shape, system.indptr, system.indices,
+                            system.data, x, out)
+    return out
+
+
 def _meets_rtol(system: sp.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> bool:
     """Whether |system @ x - rhs| <= _KRYLOV_RTOL |rhs|; a non-finite norm
     on either side is a miss."""
     e = _unit_exponent(rhs)
     bound = _KRYLOV_RTOL * _norm_in_units(rhs, e)
-    return math.isfinite(bound) and _norm_in_units(system @ x - rhs, e) <= bound
+    return (math.isfinite(bound)
+            and _norm_in_units(_matvec(system, x) - rhs, e) <= bound)
 
 
 # an overflow or a NaN on the way ends in a non-finite norm, which is a miss
@@ -307,7 +352,7 @@ def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu, x0: np.ndarray,
     m = _KRYLOV_RESTART
     x = x0.copy()
     for cycle in range(_KRYLOV_MAXITER):
-        r = rhs - system @ x
+        r = rhs - _matvec(system, x)
         beta = _norm_in_units(r, e)
         if not math.isfinite(beta):
             return None
@@ -325,7 +370,7 @@ def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu, x0: np.ndarray,
             # a non-finite z would spread NaN and warnings through the basis
             if not np.all(np.isfinite(z[j])):
                 return None
-            w = system @ z[j]
+            w = _matvec(system, z[j])
             for i in range(j + 1):  # modified Gram-Schmidt
                 h[i, j] = v[i] @ w
                 w -= h[i, j] * v[i]
@@ -352,7 +397,7 @@ def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu, x0: np.ndarray,
         for y_i, z_i in zip(np.ldexp(y, e), z):
             x += y_i * z_i
     # written so that a non-finite residual also rejects x
-    if not _norm_in_units(system @ x - rhs, e) <= stop:
+    if not _norm_in_units(_matvec(system, x) - rhs, e) <= stop:
         return None
     return x
 
@@ -502,23 +547,18 @@ def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
 
 def _temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
                       w_coeff) -> np.ndarray:
-    pattern = spaces.temperature_pattern
-    a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
-    c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
-    data = mass_dt + pattern.data_of(a_k)
-    data += pattern.data_of(c_tilde)
+    data = mass_dt + forms.temperature_diffusion_data(spaces, problem.model,
+                                                      w_coeff)
+    data += forms.temperature_advection_data(spaces, z_coeff)
     return _solve_constrained(ops.temperature_layout, (data,), rhs,
                               "temperature", ops.temperature_factor)
 
 
 def _velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
                    lagged) -> tuple[np.ndarray, np.ndarray]:
-    pattern = spaces.velocity_pattern
-    a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
-                                            FieldVector("temperature", w_new))
-    n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
-    k_data = mass_dt + pattern.data_of(a_g)
-    k_data += pattern.data_of(n_adv)
+    k_data = mass_dt + forms.velocity_diffusion_data(
+        spaces, problem.model, FieldVector("temperature", w_new))
+    k_data += forms.velocity_advection_data(spaces, z_coeff)
     d_data = spaces.divergence_pattern.data_of(ops.divergence)
     rhs = np.concatenate([
         rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),

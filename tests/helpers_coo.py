@@ -2,7 +2,9 @@
 
 Assembly used to scatter element blocks through a COO matrix on every
 call, and each Picard pass built its systems with `scipy.sparse.bmat`
-and masked out essential dofs with diagonal products.  The velocity
+and masked out essential dofs with diagonal products; later it placed
+the pattern data through a layout that recomputed its structure on every
+pass.  The velocity
 diffusion and advection used to build (nt, 12, 12) element blocks; they
 now sum their compact element values through per-mesh maps, so the
 construction of their blocks is kept here too.  The copies below are
@@ -102,6 +104,17 @@ def constrain(matrix, rhs, fixed):
     ind = np.zeros(n)
     ind[fixed] = 1.0
     return (dm @ matrix @ dm + sp.diags(ind)).tocsc(), rhs * mask
+
+
+def layout_system(layout, *block_data):
+    """`solver._Layout.system` as it was before it kept its structure:
+    the keep mask, its cumsum and the index gathers on every call."""
+    values = np.concatenate(block_data + (np.ones(1),))[layout.src]
+    keep = values != 0
+    kept = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csc_matrix((values[keep], layout.indices[keep],
+                          kept[layout.indptr]), shape=layout.shape)
 
 
 def _solve_constrained(matrix, rhs, fixed, stage, lagged):

@@ -333,6 +333,42 @@ def test_advection_times_field_is_third_moment(spaces_4x4, rng):
         assert np.max(np.abs(r_w - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("mesh", sorted(_BIT_MESHES))
+def test_data_kernels_match_the_assembled_data_bit_for_bit(mesh):
+    s = build_spaces(build_rectangle_mesh(*_BIT_MESHES[mesh]))
+    rng = np.random.default_rng(sum(_BIT_MESHES[mesh][:2]) + 3)
+
+    def fields(space):
+        signed_zero = np.copysign(0.0, rng.standard_normal(s.dim_of(space)))
+        return (_random_field(s, space, rng), forms.zeros_field(s, space),
+                FieldVector(space, signed_zero))
+
+    for w in fields("temperature"):
+        for kernel, assemble, pattern in (
+                (forms.velocity_diffusion_data, forms.assemble_velocity_diffusion,
+                 s.velocity_pattern),
+                (forms.temperature_diffusion_data,
+                 forms.assemble_temperature_diffusion, s.temperature_pattern)):
+            _same_bytes(kernel(s, _TANH_MODEL, w),
+                        pattern.data_of(assemble(s, _TANH_MODEL, w)))
+    for z in fields("velocity"):
+        for kernel, assemble, pattern in (
+                (forms.velocity_advection_data, forms.assemble_velocity_advection,
+                 s.velocity_pattern),
+                (forms.temperature_advection_data,
+                 forms.assemble_temperature_advection, s.temperature_pattern)):
+            _same_bytes(kernel(s, z), pattern.data_of(assemble(s, z)))
+    # at z = 0 the advection matrix drops every entry, so data_of spreads
+    # its data onto the pattern with +0.0 where it stores nothing
+    z_zero = forms.zeros_field(s, "velocity")
+    assert forms.assemble_temperature_advection(s, z_zero).nnz == 0
+    data = forms.temperature_advection_data(s, z_zero)
+    assert len(data) == s.temperature_pattern.nnz
+    assert not np.signbit(data).any() and not data.any()
+    outer = s.p1_grad_outer
+    assert outer is s.p1_grad_outer and not outer.flags.writeable
+
+
 def test_element_tables_are_read_only_and_built_once():
     s = build_spaces(build_rectangle_mesh(3, 3, ("left",)))
     cached = ("p2_grad_by_node", "diffusion_geometry", "quadrature_maps",

@@ -999,3 +999,90 @@ def test_run_builds_no_block_matrix_and_converts_no_coo(monkeypatch):
     monkeypatch.setattr(solver, "_velocity_pass", hc.velocity_pass)
     with pytest.raises(AssertionError, match="bmat or a COO"):
         run(spaces, _still_cavity(), config)
+
+
+# ---------------------------------------------------------------------------
+# a lean Picard pass: data kernels, a kept system structure, direct matvecs
+
+
+def test_run_builds_only_the_fixed_operator_matrices(monkeypatch):
+    real_matrix = forms.Pattern.matrix
+    calls = []
+
+    def matrix(self, data, keep=None):
+        calls.append(self)
+        return real_matrix(self, data, keep)
+
+    monkeypatch.setattr(forms.Pattern, "matrix", matrix)
+    spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
+    # M_velocity, M_temperature, D and G, once per run
+    fixed = [spaces.velocity_pattern, spaces.temperature_pattern,
+             spaces.divergence_pattern, spaces.buoyancy_pattern]
+    for t_end in (0.01, 0.05):
+        calls.clear()
+        _, diags = run(spaces, _still_cavity(), SolverConfig(dt=0.01, t_end=t_end))
+        assert sum(d.picard_iters for d in diags) >= len(diags) > 0
+        assert calls == fixed
+
+
+def test_layout_keeps_its_structure_until_the_zero_set_changes(monkeypatch):
+    spaces, problem, config = _bit_case("cavity_8x8")
+    real_constrained = solver._solve_constrained
+    real_solve = solver._LaggedFactor.solve
+    real_structure = solver._Layout._structure
+    built, handed, rebuilt = [], [], []
+
+    def solve_constrained(layout, block_data, *args):
+        built.append((layout, [b.copy() for b in block_data]))
+        return real_constrained(layout, block_data, *args)
+
+    def lagged_solve(self, system, rhs):
+        handed.append(system)
+        return real_solve(self, system, rhs)
+
+    def structure(self, data, zeros):
+        rebuilt.append(self)
+        return real_structure(self, data, zeros)
+
+    monkeypatch.setattr(solver, "_solve_constrained", solve_constrained)
+    monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
+    monkeypatch.setattr(solver._Layout, "_structure", structure)
+    _, diags = run(spaces, problem, config)
+    assert len(built) == len(handed) == 2 * sum(d.picard_iters for d in diags)
+
+    changes = {}
+    last = {}
+    for (layout, block_data), got in zip(built, handed):
+        want = hc.layout_system(layout, *block_data)
+        assert got.format == "csc" and got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        # the kept structure is shared with later systems, so it is read-only
+        assert not got.indices.flags.writeable
+        assert not got.indptr.flags.writeable
+        zero_set = (want.indptr.tobytes(), want.indices.tobytes())
+        if last.get(layout) != zero_set:
+            changes[layout] = changes.get(layout, 0) + 1
+        last[layout] = zero_set
+    assert len(changes) == 2
+    for layout, count in changes.items():
+        assert rebuilt.count(layout) == count
+    # z0 = 0: the first saddle pass stores fewer entries than later ones
+    assert max(changes.values()) >= 2
+
+
+def test_matvec_is_the_product_scipy_computes_byte_for_byte():
+    rng = np.random.default_rng(5)
+    system = sp.random(60, 60, density=0.1, format="csc", random_state=rng)
+    system.data[::3] *= -1.0
+    x = rng.standard_normal(60)
+    x[::4] = -0.0
+    for _ in range(3):
+        # a freed buffer of the product's size: numpy hands it to the next
+        # allocation of that size, so an output that is not zeroed first
+        # would start from its 7.0s
+        junk = np.full(60, 7.0)
+        del junk
+        got = solver._matvec(system, x)
+        assert got.dtype == np.float64 and got.tobytes() == (system @ x).tobytes()
