@@ -3,8 +3,9 @@
 Subcommands: run (time integration), mms (manufactured-solution
 convergence), cauchy (refinement differences), contract (two-trajectory
 uniqueness study), check-forms (operator audit), estimate-constants.
-Exit codes: 0 success, 2 config error, 3 solver/numeric error,
-4 verification failure.  Every failure prints one ERROR:-prefixed line.
+Exit codes: 0 success, 2 config error (an unwritable output path
+included), 3 solver/numeric error, 4 verification failure.  Every failure
+prints one ERROR:-prefixed line.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _validate_law(chk: _Check, raw, path):
         chk.fail(path, "must be an object")
         return
     kind = raw.get("kind")
-    if kind not in by_kind:
+    if not isinstance(kind, str) or kind not in by_kind:
         chk.fail(f"{path}.kind",
                  f"must be one of {sorted(by_kind)}, got {kind!r}")
         return
@@ -228,8 +229,8 @@ def validate_config(raw) -> dict:
         # bounds gamma0 and k0; estimated constants are checked when the
         # run computes Re and Ra
         if cst != "estimate":
+            before = len(chk.errors)
             if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
-                before = len(chk.errors)
                 for key in ("c1", "c1_prime", "d"):
                     chk.number(cst, "solver.constants", key, lo=0.0,
                                strict_lo=True)
@@ -343,13 +344,13 @@ def build_problem(cfg, model: CoefficientModel) -> solver.ProblemData:
                                       dtype=float),
             w0=lambda pts: np.asarray(pts)[..., 0]
             * np.sin(np.pi * np.asarray(pts)[..., 1]),
-            buoyancy_sign=sign, name=name)
+            buoyancy_sign=sign)
     return solver.ProblemData(
         model=model, beta=beta, g=g_fn,
         f1=_zero_vec, f2=_zero_scalar, v1=_zero_scalar, v2=_zero_scalar,
         z0=lambda pts: np.zeros(np.asarray(pts).shape),
         w0=lambda pts: np.zeros(np.asarray(pts).shape[:-1]),
-        buoyancy_sign=sign, name="zero")
+        buoyancy_sign=sign)
 
 
 def build_solver_config(cfg, constants) -> solver.SolverConfig:
@@ -674,6 +675,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"ERROR: config: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"ERROR: config: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .mesh import GAMMA1, GAMMA2, Mesh, unique_edges
+from .mesh import GAMMA1, GAMMA2, Mesh, edge_ids, unique_edges
 from .quadrature import edge_rule, triangle_rule
 
 
@@ -78,6 +78,14 @@ class BoundarySide:
 class FunctionSpaces:
     """Geometry, dof maps, constraints and quadrature tables for one mesh.
 
+    build_spaces finds the mesh edge of each boundary edge by
+    `mesh.edge_ids`.  Each tagged side holds its edges' vertices, midpoint
+    nodes, lengths, outward normals and quadrature points.  The fixed
+    velocity dofs are the flat nonzeros of a (node, component) table: a
+    GAMMA2 node pins both components, a GAMMA1 node the tangential one of
+    its axis-aligned edge.  The fixed temperature dofs are the GAMMA1
+    vertices.
+
     The CSR pattern of each operator pair, the element geometry
     (node-major P2 gradients, velocity diffusion table, products of the P1
     gradients) and the quadrature maps of the trilinear forms are built on
@@ -99,7 +107,6 @@ class FunctionSpaces:
     p2_grad_at_q: np.ndarray     # (nt, nq, 6, 2) physical gradients
     p1_at_q: np.ndarray          # (nq, 3)
     p1_grad: np.ndarray          # (nt, 3, 2) physical gradients (constant in q)
-    edge_s: np.ndarray           # (me,) edge quadrature abscissae on [0,1]
     edge_w: np.ndarray           # (me,)
     p2_trace: np.ndarray         # (me, 3) traces of [u, v, mid] basis on an edge
     p1_trace: np.ndarray         # (me, 2) traces of [u, v]
@@ -111,7 +118,7 @@ class FunctionSpaces:
     def __post_init__(self):
         for name in ("edges", "tri_edges", "node_coords", "vel_nodes",
                      "vel_dofs", "areas", "quad_x", "quad_w", "p2_at_q",
-                     "p2_grad_at_q", "p1_at_q", "p1_grad", "edge_s", "edge_w",
+                     "p2_grad_at_q", "p1_at_q", "p1_grad", "edge_w",
                      "p2_trace", "p1_trace",
                      "fixed_velocity_dofs", "fixed_temperature_dofs"):
             getattr(self, name).setflags(write=False)
@@ -356,82 +363,51 @@ def build_spaces(mesh: Mesh) -> FunctionSpaces:
                                 4.0 * es * (1.0 - es)])
     p1_trace = np.column_stack([1.0 - es, es])
 
-    edge_index = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
-    tri_of_edge = np.full(len(edges), -1, dtype=np.int64)
-    for local in range(3):
-        tri_of_edge[tri_edges[:, local]] = np.arange(nt)
+    # the triangle of each boundary edge (interior edges get either one)
+    owner = np.empty(len(edges), dtype=np.int64)
+    owner[tri_edges] = np.arange(nt)[:, None]
 
     def side_data(tag):
-        keep = np.asarray(mesh.boundary_tags) == tag
-        bed = np.asarray(mesh.boundary_edges)[keep]
-        m = len(bed)
-        mids = np.empty(m, dtype=np.int64)
-        normals = np.empty((m, 2))
-        lengths = np.empty(m)
-        for k, (u, v) in enumerate(bed):
-            key = (int(min(u, v)), int(max(u, v)))
-            e = edge_index[key]
-            mids[k] = nv + e
-            pu, pv = mesh.vertices[u], mesh.vertices[v]
-            d = pv - pu
-            lengths[k] = float(np.hypot(d[0], d[1]))
-            n = np.array([d[1], -d[0]]) / lengths[k]
-            # orient outward: away from the centroid of the owning triangle
-            cent = mesh.vertices[mesh.triangles[tri_of_edge[e]]].mean(0)
-            if np.dot(n, cent - 0.5 * (pu + pv)) > 0:
-                n = -n
-            normals[k] = n
-        pu = mesh.vertices[bed[:, 0]] if m else np.zeros((0, 2))
-        pv = mesh.vertices[bed[:, 1]] if m else np.zeros((0, 2))
-        qx = pu[:, None, :] + es[None, :, None] * (pv - pu)[:, None, :]
-        return BoundarySide(verts=bed, mids=mids, lengths=lengths,
+        bed = mesh.boundary_edges[mesh.boundary_tags == tag]
+        e = edge_ids(edges, bed)
+        pu, pv = mesh.vertices[bed[:, 0]], mesh.vertices[bed[:, 1]]
+        d = pv - pu
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+        # orient outward: away from the centroid of the owning triangle
+        cent = mesh.vertices[mesh.triangles[owner[e]]].mean(1)
+        inward = np.sum(normals * (cent - 0.5 * (pu + pv)), axis=1) > 0
+        normals[inward] = -normals[inward]
+        qx = pu[:, None, :] + es[None, :, None] * d[:, None, :]
+        return BoundarySide(verts=bed, mids=nv + e, lengths=lengths,
                             normals=normals, qx=qx)
 
     gamma1 = side_data(GAMMA1)
     gamma2 = side_data(GAMMA2)
 
-    # essential constraints: bit 0 = x-component fixed, bit 1 = y-component
-    comp_mask = np.zeros(nv + len(edges), dtype=np.uint8)
-    for bs, tag in ((gamma2, GAMMA2), (gamma1, GAMMA1)):
-        for k in range(len(bs.verts)):
-            u, v = bs.verts[k]
-            nodes = (int(u), int(v), int(bs.mids[k]))
-            if tag == GAMMA2:
-                for n in nodes:
-                    comp_mask[n] |= 3       # no-slip: both components
-            else:
-                du = abs(mesh.vertices[v, 1] - mesh.vertices[u, 1])
-                dx = abs(mesh.vertices[v, 0] - mesh.vertices[u, 0])
-                if du <= 1e-12:
-                    bit = 1                 # horizontal edge: tangent is x
-                elif dx <= 1e-12:
-                    bit = 2                 # vertical edge: tangent is y
-                else:
-                    raise ValueError("tangential-velocity constraints need "
-                                     "axis-aligned GAMMA1 edges")
-                for n in nodes:
-                    comp_mask[n] |= bit
-
-    fixed = []
-    nodes_idx = np.nonzero(comp_mask)[0]
-    for n in nodes_idx:
-        if comp_mask[n] & 1:
-            fixed.append(2 * n)
-        if comp_mask[n] & 2:
-            fixed.append(2 * n + 1)
-    fixed_velocity = np.array(sorted(fixed), dtype=np.int64)
-
-    tverts = np.unique(gamma1.verts) if len(gamma1.verts) else np.array([], dtype=np.int64)
-    fixed_temperature = np.sort(tverts.astype(np.int64))
+    # essential constraints: pinned[node, c] when velocity component c of
+    # the P2 node is fixed, so the flat nonzeros are the sorted dofs 2*node+c
+    pinned = np.zeros((len(node_coords), 2), dtype=bool)
+    pinned[np.column_stack([gamma2.verts, gamma2.mids])] = True  # no-slip
+    # GAMMA1 pins the tangential component: x on a horizontal edge, y on a
+    # vertical one
+    ends = mesh.vertices[gamma1.verts]
+    dx, dy = np.abs(ends[:, 1] - ends[:, 0]).T
+    horizontal = dy <= 1e-12
+    if not np.all(horizontal | (dx <= 1e-12)):
+        raise ValueError("tangential-velocity constraints need "
+                         "axis-aligned GAMMA1 edges")
+    pinned[np.column_stack([gamma1.verts, gamma1.mids]),
+           np.where(horizontal, 0, 1)[:, None]] = True
 
     return FunctionSpaces(
         mesh=mesh, edges=edges, tri_edges=tri_edges, node_coords=node_coords,
         vel_nodes=vel_nodes, vel_dofs=vel_dofs, areas=areas, quad_x=quad_x,
         quad_w=quad_w, p2_at_q=p2_vals, p2_grad_at_q=p2_grad, p1_at_q=p1_vals,
-        p1_grad=p1_grad, edge_s=es, edge_w=ew, p2_trace=p2_trace,
+        p1_grad=p1_grad, edge_w=ew, p2_trace=p2_trace,
         p1_trace=p1_trace, gamma1=gamma1, gamma2=gamma2,
-        fixed_velocity_dofs=fixed_velocity,
-        fixed_temperature_dofs=fixed_temperature)
+        fixed_velocity_dofs=np.flatnonzero(pinned),
+        fixed_temperature_dofs=np.unique(gamma1.verts))
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +442,14 @@ def interpolate_velocity(spaces: FunctionSpaces, fn, t: float = 0.0) -> FieldVec
     return FieldVector("velocity", out)
 
 
-def interpolate_scalar(spaces: FunctionSpaces, fn, t: float = 0.0,
-                       space: str = "temperature") -> FieldVector:
+def interpolate_scalar(spaces: FunctionSpaces, fn, t: float = 0.0) -> FieldVector:
     """Nodal interpolant of a scalar function at mesh vertices."""
     vals = np.asarray(fn(spaces.mesh.vertices, t), dtype=float)
     if vals.shape != (spaces.mesh.num_vertices,):
         raise ValueError("scalar data must return one value per point")
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite scalar data at interpolation nodes")
-    return FieldVector(space, vals)
+    return FieldVector("temperature", vals)
 
 
 def _nodal_velocity(spaces: FunctionSpaces, z: FieldVector):

@@ -104,29 +104,20 @@ def build_rectangle_mesh(nx: int, ny: int, gamma1_sides) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    edges = []
-    tags = []
-
-    def tag_of(side):
-        return GAMMA1 if side in sides else GAMMA2
-
-    for i in range(nx):                                   # bottom, left→right
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(tag_of("bottom"))
-    for j in range(ny):                                   # right, upward
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append(tag_of("right"))
-    for i in range(nx):                                   # top, right→left
-        edges.append((vid(nx - i, ny), vid(nx - i - 1, ny)))
-        tags.append(tag_of("top"))
-    for j in range(ny):                                   # left, downward
-        edges.append((vid(0, ny - j), vid(0, ny - j - 1)))
-        tags.append(tag_of("left"))
+    # the boundary, counterclockwise: four runs of (start, end) vertex ids
+    i, j = np.arange(nx, dtype=np.int64), np.arange(ny, dtype=np.int64)
+    runs = (("bottom", vid(i, 0), vid(i + 1, 0)),             # left→right
+            ("right", vid(nx, j), vid(nx, j + 1)),             # upward
+            ("top", vid(nx - i, ny), vid(nx - i - 1, ny)),     # right→left
+            ("left", vid(0, ny - j), vid(0, ny - j - 1)))      # downward
+    edges = np.concatenate([np.column_stack([u, v]) for _, u, v in runs])
+    tags = np.concatenate([np.full(len(u), GAMMA1 if side in sides else GAMMA2,
+                                   dtype=np.int64) for side, u, _ in runs])
 
     return Mesh(vertices=vertices,
                 triangles=triangles,
-                boundary_edges=np.array(edges, dtype=np.int64),
-                boundary_tags=np.array(tags, dtype=np.int64),
+                boundary_edges=edges,
+                boundary_tags=tags,
                 generation=0)
 
 
@@ -142,6 +133,22 @@ def unique_edges(triangles: np.ndarray):
     edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
     tri_edges = inverse.reshape(-1, 3)
     return edges, tri_edges
+
+
+def edge_ids(edges: np.ndarray, pairs) -> np.ndarray:
+    """Rows of ``edges`` (from unique_edges) of the (m, 2) vertex pairs,
+    each in either order; ValueError when a pair is not an edge."""
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64), axis=1)
+    # keys lo * base + hi, sorted as the edges are lexicographic
+    base = int(edges.max()) + 1
+    keys = edges[:, 0] * base + edges[:, 1]
+    wanted = pairs[:, 0] * base + pairs[:, 1]
+    ids = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    found = (pairs[:, 1] < base) & (keys[ids] == wanted)
+    if not found.all():
+        raise ValueError(f"vertex pairs {pairs[~found][:3].tolist()} are "
+                         "not mesh edges")
+    return ids
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
@@ -174,14 +181,11 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     children[2::4] = np.column_stack([m20, m12, t[:, 2]])
     children[3::4] = np.column_stack([m01, m12, m20])
 
-    edge_index = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
-    new_bedges = np.empty((2 * len(mesh.boundary_edges), 2), dtype=np.int64)
+    # each boundary edge (u, v) splits at its midpoint m into (u, m), (m, v)
+    u, v = mesh.boundary_edges.T
+    m = nv + edge_ids(edges, mesh.boundary_edges)
+    new_bedges = np.column_stack([u, m, m, v]).reshape(-1, 2)
     new_tags = np.repeat(mesh.boundary_tags, 2)
-    for k, (u, v) in enumerate(mesh.boundary_edges):
-        key = (int(min(u, v)), int(max(u, v)))
-        m = nv + edge_index[key]
-        new_bedges[2 * k] = (u, m)
-        new_bedges[2 * k + 1] = (m, v)
 
     return Mesh(vertices=vertices,
                 triangles=children,
@@ -199,21 +203,20 @@ def check_mesh(mesh: Mesh) -> None:
     if abs(areas.sum() - 1.0) > 1e-14:
         raise ValueError(f"triangle areas sum to {areas.sum()!r}, expected 1")
 
-    edges, _ = unique_edges(mesh.triangles)
-    pairs = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    _, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, tri_edges = unique_edges(mesh.triangles)
+    counts = np.bincount(tri_edges.ravel())
     if counts.max() > 2:
         raise ValueError("an edge is shared by more than two triangles")
 
-    boundary = edges[counts == 1]
-    tagged = np.sort(np.asarray(mesh.boundary_edges), axis=1)
-    tagged_set = {tuple(e) for e in tagged.tolist()}
-    boundary_set = {tuple(e) for e in boundary.tolist()}
-    if tagged_set != boundary_set:
+    boundary = np.flatnonzero(counts == 1)
+    try:
+        tagged = edge_ids(edges, mesh.boundary_edges)
+    except ValueError:              # a tagged pair that is no mesh edge
+        tagged = None
+    if tagged is None or not np.array_equal(np.unique(tagged), boundary):
         raise ValueError("tagged boundary edges do not match the mesh "
                          "boundary (non-conforming or mis-tagged)")
-    if len(tagged_set) != len(mesh.boundary_edges):
+    if len(tagged) != len(boundary):
         raise ValueError("duplicate boundary edges")
 
     tags = set(np.asarray(mesh.boundary_tags).tolist())

@@ -25,7 +25,7 @@ from .forms import FieldVector, FunctionSpaces
 from .mesh import build_rectangle_mesh
 # bench/tracing.py times run and estimate_constants at this module's names
 from .solver import (ProblemData, SolverConfig, State,
-                     _divergence_free_solver, _free_velocity_dofs,
+                     _divergence_free_solver, _free_block, _free_velocity_dofs,
                      estimate_constants, initialize_state, run)
 
 # columns per block of the audit's trilinear and dual-norm samples
@@ -218,7 +218,7 @@ def make_mms_problem(coeff_model: CoefficientModel, beta: float = 0.5,
         v2=v2,
         z0=lambda pts: np.asarray(exact_velocity(pts, 0.0), dtype=float),
         w0=lambda pts: np.asarray(exact_temperature(pts, 0.0), dtype=float),
-        buoyancy_sign=float(buoyancy_sign), name="mms")
+        buoyancy_sign=float(buoyancy_sign))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +759,7 @@ def check_forms(spaces: FunctionSpaces, trials: int = 100,
     # dual norm of z -> b(z, z, .) against the constrained test space;
     # b(z, z, phi_i) is row i of N(z) z
     free_v = _free_velocity_dofs(spaces)
-    h_free = h_vel.tocsr()[free_v][:, free_v].tocsc()
+    h_free = _free_block(h_vel, free_v)
     h_free_lu = scipy.sparse.linalg.splu(h_free)
 
     def dual_norms(x):

@@ -105,7 +105,6 @@ class ProblemData:
     z0: "callable"
     w0: "callable"
     buoyancy_sign: float = 1.0
-    name: str = ""
 
     def __post_init__(self):
         if not (self.beta >= 0 and math.isfinite(self.beta)):

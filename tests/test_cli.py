@@ -67,6 +67,34 @@ def test_all_violations_reported_together(tmp_path, capsys):
     assert any("turbo" in l for l in lines)
 
 
+def test_unknown_constant_is_reported_with_every_other_violation(tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, mesh={"nx": 0}, study={"levels": 2},
+                 solver={"constants": {"c1": 1.0, "bogus": 1}})
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR: config: mesh.nx: must be >= 1, got 0",
+        "ERROR: config: solver.constants.bogus: unknown key",
+        "ERROR: config: study.levels: must be >= 3, got 2"]
+
+
+@pytest.mark.parametrize("output, path", [
+    ({"directory": "taken"}, "taken"),
+    ({"csv_name": "no/such/dir.csv"}, "no/such/dir.csv")])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys,
+                                                  monkeypatch, output, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file, not a directory")
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, output=output)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("ERROR: config: cannot write output: ")
+    assert len(err.splitlines()) == 1 and path in err
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg)

@@ -91,6 +91,15 @@ CASES = [
     # t_end/dt overflows to inf
     ("steps_overflow", _with(_CAVITY, time={"dt": 1e-300, "t_end": 1e300}),
      "time.t_end"),
+    # a kind that is no string, not even hashable
+    ("law_kind_list", _with(_CAVITY, coefficients={"viscosity": {"kind": []}}),
+     "coefficients.viscosity.kind"),
+    ("law_kind_object",
+     _with(_CAVITY, coefficients={"viscosity": {"kind": {}}}),
+     "coefficients.viscosity.kind"),
+    ("constants_unknown_key",
+     _with(_CAVITY, solver={"constants": {"c1": 1.0, "bogus": 1}}),
+     "solver.constants.bogus"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Assembled operators: symmetry classes, exact identities, dense cross-checks."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,10 +16,12 @@ from bgs.coefficients import (
 )
 from bgs import forms
 from bgs.forms import FieldVector
+from bgs.mesh import GAMMA1, GAMMA2, Mesh, refine_uniform
 
 import helpers_coo as hc
 import helpers_dense as hd
 import helpers_kernels as hk
+import helpers_topology as ht
 
 
 def _random_field(spaces, space, rng, zero_fixed=False):
@@ -65,6 +68,77 @@ def test_corner_nodes_fully_constrained(spaces_2x2):
         assert np.allclose(s.node_coords[node], corner)
         assert 2 * node in s.fixed_velocity_dofs
         assert 2 * node + 1 in s.fixed_velocity_dofs
+
+
+def _arrays(obj):
+    """Every array field of a dataclass as (dtype, shape, bytes)."""
+    return {f.name: (v.dtype, v.shape, v.tobytes())
+            for f in dataclasses.fields(obj)
+            if isinstance(v := getattr(obj, f.name), np.ndarray)}
+
+
+def _reverse_every_third(mesh):
+    """The mesh with every third boundary edge run clockwise, the only
+    input whose outward normals need the centroid flip."""
+    edges = mesh.boundary_edges.copy()
+    edges[::3] = edges[::3, ::-1]
+    return Mesh(mesh.vertices.copy(), mesh.triangles.copy(), edges,
+                mesh.boundary_tags.copy(), mesh.generation)
+
+
+_TOPOLOGY_SIDES = [("left",), ("left", "top"), ("bottom",),
+                   ("right", "top", "bottom")]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["ccw", "reversed"])
+@pytest.mark.parametrize("sides", _TOPOLOGY_SIDES, ids="-".join)
+@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (4, 4), (7, 3), (16, 16)])
+def test_topology_matches_the_loop_reference_bit_for_bit(nx, ny, sides,
+                                                         reverse):
+    mesh = build_rectangle_mesh(nx, ny, sides)
+    ref = ht.build_rectangle_mesh(nx, ny, sides)
+    if reverse:
+        mesh, ref = _reverse_every_third(mesh), _reverse_every_third(ref)
+    for level in range(3):
+        assert _arrays(mesh) == _arrays(ref), level
+        assert mesh.generation == ref.generation == level
+        s = build_spaces(mesh)
+        assert _arrays(s) == _arrays(build_spaces(ref))
+        gamma1, gamma2, fixed_velocity, fixed_temperature = (
+            ht.boundary_topology(ref))
+        assert _arrays(s.gamma1) == _arrays(gamma1)
+        assert _arrays(s.gamma2) == _arrays(gamma2)
+        for got, want in ((s.fixed_velocity_dofs, fixed_velocity),
+                          (s.fixed_temperature_dofs, fixed_temperature)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        mesh, ref = refine_uniform(mesh), ht.refine_uniform(ref)
+
+
+def test_reversed_boundary_edges_keep_outward_normals():
+    mesh = _reverse_every_third(build_rectangle_mesh(3, 2, ("left", "top")))
+    reversed_ = np.arange(len(mesh.boundary_edges)) % 3 == 0
+    s = build_spaces(mesh)
+    for side, tag in ((s.gamma1, GAMMA1), (s.gamma2, GAMMA2)):
+        ends = mesh.vertices[side.verts]
+        d = ends[:, 1] - ends[:, 0]
+        turned = np.column_stack([d[:, 1], -d[:, 0]]) / side.lengths[:, None]
+        # outward on the unit square: away from its center
+        assert np.all(np.sum(side.normals * (ends.mean(1) - 0.5), axis=1) > 0)
+        # exactly the reversed edges are flipped
+        flipped = np.all(side.normals == -turned, axis=1)
+        assert np.array_equal(flipped, reversed_[mesh.boundary_tags == tag])
+        assert flipped.any()
+
+
+def test_non_axis_aligned_gamma1_edge_raises():
+    # a half of the unit square, its slanted edge on GAMMA1
+    mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+                triangles=np.array([[0, 1, 2]]),
+                boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
+                boundary_tags=np.array([GAMMA2, GAMMA2, GAMMA1]))
+    for build in (build_spaces, ht.boundary_topology):
+        with pytest.raises(ValueError, match="axis-aligned GAMMA1 edges"):
+            build(mesh)
 
 
 def test_quadrature_weights_positive_and_sum_to_areas(spaces_4x4):
@@ -408,7 +482,7 @@ def test_element_tables_are_read_only_and_built_once():
 
 def test_boundary_and_edge_arrays_are_read_only():
     s = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
-    arrays = [s.edge_s, s.edge_w, s.p2_trace, s.p1_trace]
+    arrays = [s.edge_w, s.p2_trace, s.p1_trace]
     for side in (s.gamma1, s.gamma2):
         arrays += [side.verts, side.mids, side.lengths, side.normals, side.qx]
     for arr in arrays:

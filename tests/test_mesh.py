@@ -5,7 +5,7 @@ import pytest
 
 from bgs import (GAMMA1, GAMMA2, build_rectangle_mesh, check_mesh,
                  refine_uniform, triangle_areas)
-from bgs.mesh import unique_edges
+from bgs.mesh import Mesh, edge_ids, unique_edges
 
 
 def test_unit_mesh_counts():
@@ -105,3 +105,50 @@ def test_invalid_arguments_raise():
         build_rectangle_mesh(2, 2, ("left", "right", "top", "bottom"))
     with pytest.raises(ValueError):
         build_rectangle_mesh(2, 2, ("diagonal",))
+
+
+def test_edge_ids_finds_pairs_in_either_order():
+    m = build_rectangle_mesh(4, 3, ("left",))
+    edges, tri_edges = unique_edges(m.triangles)
+    pairs = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    assert np.array_equal(edge_ids(edges, pairs), tri_edges.ravel())
+    assert np.array_equal(edge_ids(edges, pairs[:, ::-1]), tri_edges.ravel())
+    assert edge_ids(edges, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+
+
+# on the 2x2 mesh (vertex rows 0-2, 3-5, 6-8), none of these is an edge;
+# (0, 13) has the key 0 * 9 + 13 of the edge (1, 4)
+@pytest.mark.parametrize("pair", [(0, 2), (2, 4), (0, 8), (0, 13), (-1, 0),
+                                  (0, 0)])
+def test_edge_ids_rejects_a_pair_that_is_no_edge(pair):
+    edges, _ = unique_edges(build_rectangle_mesh(2, 2, ("left",)).triangles)
+    with pytest.raises(ValueError, match="not mesh edges"):
+        edge_ids(edges, np.array([[0, 1], pair]))
+
+
+def _with_boundary(mesh, edges):
+    return Mesh(mesh.vertices, mesh.triangles, np.array(edges, dtype=np.int64),
+                np.resize(mesh.boundary_tags, len(edges)))
+
+
+def test_check_mesh_reports_a_wrong_boundary():
+    m = build_rectangle_mesh(2, 2, ("left",))
+    edges = m.boundary_edges.tolist()
+    mismatch = "tagged boundary edges do not match the mesh boundary"
+    for wrong in (edges[1:],                   # one boundary edge missing
+                  edges[:-1] + [[0, 4]],       # an interior edge instead
+                  edges[:-1] + [[0, 8]]):      # no mesh edge at all
+        with pytest.raises(ValueError, match=mismatch):
+            check_mesh(_with_boundary(m, wrong))
+    with pytest.raises(ValueError, match="duplicate boundary edges"):
+        check_mesh(_with_boundary(m, edges + [edges[0][::-1]]))
+
+
+def test_check_mesh_reports_an_edge_of_three_triangles():
+    m = build_rectangle_mesh(1, 1, ("left",))
+    # a third triangle on the diagonal (0, 3), keeping the areas at 1
+    tri = np.vstack([m.triangles, [[0, 3, 4]]])
+    verts = np.vstack([m.vertices * [1.0, 0.5], [[0.0, 1.0]]])
+    mesh = Mesh(verts, tri, m.boundary_edges.copy(), m.boundary_tags.copy())
+    with pytest.raises(ValueError, match="shared by more than two triangles"):
+        check_mesh(mesh)
