@@ -11,6 +11,7 @@ prints one ERROR:-prefixed line.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -171,11 +172,11 @@ def validate_config(raw) -> dict:
         for name in ("viscosity", "conductivity"):
             if name in coeff:
                 _validate_law(chk, coeff[name], f"coefficients.{name}")
-    # the lower bounds gamma0 and k0 of valid laws, for the Re/Ra check
-    floors = None
+    # valid laws, for the Re/Ra check
+    laws = None
     if len(chk.errors) == before:
-        floors = [_build_law(coeff.get(name, cfg["coefficients"][name])).lo
-                  for name in ("viscosity", "conductivity")]
+        laws = {name: coeff.get(name, cfg["coefficients"][name])
+                for name in ("viscosity", "conductivity")}
 
     phys = raw.get("physics", {})
     if chk.section(phys, "physics", {"beta", "gravity", "buoyancy_sign_flag"}):
@@ -224,25 +225,15 @@ def validate_config(raw) -> dict:
         chk.number(solv, "solver", "picard_max", lo=1, integer=True)
         chk.number(solv, "solver", "picard_tol", lo=0.0, strict_lo=True)
         cst = solv.get("constants", {})
-        # with numbers for the constants, Re and Ra at unit L4 norms, that
-        # is their constant factors, must be finite for the laws' lower
-        # bounds gamma0 and k0; estimated constants are checked when the
-        # run computes Re and Ra
+        # estimated constants are checked once estimated (_resolve_constants)
         if cst != "estimate":
             before = len(chk.errors)
             if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
                 for key in ("c1", "c1_prime", "d"):
                     chk.number(cst, "solver.constants", key, lo=0.0,
                                strict_lo=True)
-                if len(chk.errors) == before and floors is not None:
-                    try:
-                        solver.re_ra(cst, *floors, 1.0, 1.0)
-                    except solver.DivergenceError:
-                        chk.fail("solver.constants",
-                                 "4*d/(gamma0*c1) and 4*d**2/(gamma0*k0*c1*"
-                                 "c1_prime) must be finite, with gamma0 and k0 "
-                                 "the lower bounds of the viscosity and "
-                                 "conductivity laws")
+                if len(chk.errors) == before and laws is not None:
+                    chk.errors += _re_ra_errors(cst, laws)
 
     out = raw.get("output", {})
     if chk.section(out, "output", {"directory", "vtk_every", "csv_name"}):
@@ -297,6 +288,20 @@ def _build_law(raw):
         return clamped_affine_law(raw["intercept"], raw["slope"],
                                   raw["lo"], raw["hi"])
     return tanh_blend_law(raw["lo"], raw["hi"])
+
+
+def _re_ra_errors(constants, laws) -> list[str]:
+    """The config violation, if any, of constants whose Re and Ra at unit
+    L4 norms, that is their constant factors, are not finite for the lower
+    bounds gamma0 and k0 of the viscosity and conductivity laws."""
+    floors = [_build_law(laws[name]).lo for name in ("viscosity", "conductivity")]
+    try:
+        solver.re_ra(constants, *floors, 1.0, 1.0)
+    except solver.DivergenceError:
+        return ["solver.constants: 4*d/(gamma0*c1) and 4*d**2/(gamma0*k0*c1*"
+                "c1_prime) must be finite, with gamma0 and k0 the lower "
+                "bounds of the viscosity and conductivity laws"]
+    return []
 
 
 def build_model(cfg) -> CoefficientModel:
@@ -363,10 +368,13 @@ def build_solver_config(cfg, constants) -> solver.SolverConfig:
 
 
 def _resolve_constants(cfg, spaces):
-    """Returns (constants dict, source string)."""
+    """Returns (constants dict, source string); estimates get the Re/Ra check."""
     raw = cfg["solver"]["constants"]
     if raw == "estimate":
-        return solver.estimate_constants(spaces), "estimated"
+        constants = solver.estimate_constants(spaces)
+        if errors := _re_ra_errors(constants, cfg["coefficients"]):
+            raise ConfigError(errors)
+        return constants, "estimated"
     source = "config" if cfg.get("_constants_given") else "defaults"
     return {k: float(v) for k, v in raw.items()}, source
 
@@ -439,7 +447,23 @@ def write_vtk(path: str, spaces: forms.FunctionSpaces, state) -> None:
 # drivers
 
 
+def _verdict(command: str, report) -> int:
+    """4 with each failure of a verification report printed, else 0."""
+    if not report.passed:
+        for msg in report.failures:
+            print(f"ERROR: verification: {command}: {msg}")
+        return 4
+    print(f"{command}: PASS")
+    return 0
+
+
 def _cmd_run(cfg, seed: int) -> int:
+    # a missing CSV directory fails here, before the run creates anything
+    outdir = cfg["output"]["directory"]
+    csv_path = os.path.join(outdir, cfg["output"]["csv_name"])
+    csv_dir = os.path.normpath(os.path.dirname(csv_path))
+    if csv_dir != os.path.normpath(outdir) and not os.path.isdir(csv_dir):
+        raise FileNotFoundError(errno.ENOENT, "No such directory", csv_path)
     mesh = build_mesh(cfg)
     spaces = forms.build_spaces(mesh)
     model = build_model(cfg)
@@ -447,7 +471,6 @@ def _cmd_run(cfg, seed: int) -> int:
     constants, source = _resolve_constants(cfg, spaces)
     config = build_solver_config(cfg, constants)
 
-    outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
     _write_constants(outdir, constants, source)
     every = int(cfg["output"]["vtk_every"])
@@ -468,8 +491,7 @@ def _cmd_run(cfg, seed: int) -> int:
             capped = capped or not diag.picard_converged
             yield diag
 
-    write_diagnostics_csv(os.path.join(outdir, cfg["output"]["csv_name"]),
-                          streamed())
+    write_diagnostics_csv(csv_path, streamed())
     if capped:
         print("warning: Picard loop hit its iteration cap in at least one step")
     print(f"run: {config.num_steps} steps on {mesh.num_vertices} vertices "
@@ -502,12 +524,7 @@ def _cmd_mms(cfg, seed: int) -> int:
     for m in metrics:
         print(f"mms: {m} finest rate {report.rates[m][-1]:.3f} "
               f"(target {report.targets[m]})")
-    if not report.passed:
-        for msg in report.failures:
-            print(f"ERROR: verification: mms: {msg}")
-        return 4
-    print("mms: PASS")
-    return 0
+    return _verdict("mms", report)
 
 
 def _cmd_cauchy(cfg, seed: int) -> int:
@@ -532,12 +549,7 @@ def _cmd_cauchy(cfg, seed: int) -> int:
 
     print(f"cauchy: velocity ratios {[f'{r:.3f}' for r in report.ratios_velocity]}"
           f" temperature ratios {[f'{r:.3f}' for r in report.ratios_temperature]}")
-    if not report.passed:
-        for msg in report.failures:
-            print(f"ERROR: verification: cauchy: {msg}")
-        return 4
-    print("cauchy: PASS")
-    return 0
+    return _verdict("cauchy", report)
 
 
 def _cmd_contract(cfg, seed: int) -> int:
@@ -565,12 +577,7 @@ def _cmd_contract(cfg, seed: int) -> int:
     print(f"contract: D(0)={report.distance[0]:.6e} "
           f"D(end)={report.distance[-1]:.6e} monotone={report.monotone} "
           f"gronwall_ok={report.gronwall_ok}")
-    if not report.passed:
-        for msg in report.failures:
-            print(f"ERROR: verification: contract: {msg}")
-        return 4
-    print("contract: PASS")
-    return 0
+    return _verdict("contract", report)
 
 
 def _cmd_check_forms(cfg, seed: int, trials: int) -> int:

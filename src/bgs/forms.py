@@ -55,9 +55,6 @@ class FieldVector:
         if self.space not in _SPACES:
             raise ValueError(f"unknown space {self.space!r}")
 
-    def copy(self) -> "FieldVector":
-        return FieldVector(self.space, self.values.copy())
-
 
 @dataclass(frozen=True)
 class BoundarySide:
@@ -88,10 +85,11 @@ class FunctionSpaces:
 
     The CSR pattern of each operator pair, the element geometry
     (node-major P2 gradients, velocity diffusion table, products of the P1
-    gradients) and the quadrature maps of the trilinear forms are built on
-    first use, not by build_spaces, so a caller that assembles nothing
-    does not pay for them.  Every array is read-only, so no cached table
-    goes stale.
+    gradients), the quadrature maps of the trilinear forms and the
+    solver's fixed structure (both mass matrices, D and the layouts of the
+    temperature and saddle systems) are built on first use, not by
+    build_spaces, so a caller that assembles nothing does not pay for them
+    and every run on the mesh shares them.  Every array is read-only.
     """
 
     mesh: Mesh
@@ -209,12 +207,9 @@ class FunctionSpaces:
         def csr(data, dofs):
             per_row = dofs.shape[1]
             cols = np.broadcast_to(dofs[:, None, :], (nt, nq, per_row))
-            mat = sp.csr_matrix(
+            return _frozen(sp.csr_matrix(
                 (data.reshape(-1), cols.reshape(-1),
-                 np.arange(0, shape[0] * per_row + 1, per_row)), shape=shape)
-            for arr in (mat.data, mat.indices, mat.indptr):
-                arr.setflags(write=False)
-            return mat
+                 np.arange(0, shape[0] * per_row + 1, per_row)), shape=shape))
 
         values = np.broadcast_to(self.p2_at_q, (nt, nq, 6))
         x_dofs = self.vel_dofs[:, 0::2]
@@ -253,9 +248,8 @@ class FunctionSpaces:
         full = self.velocity_pattern.mapped(block, 2 * n + 1)
         keep = full.cols != 2 * n
         keep[full.ptr[:-1]] = True
-        kept = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        return SumMap(kept[full.ptr], full.cols[keep], full.size, full.weights)
+        return SumMap(*_compress(full.ptr, keep, full.cols), full.size,
+                      full.weights)
 
     @cached_property
     def unit_weights(self) -> np.ndarray:
@@ -286,6 +280,39 @@ class FunctionSpaces:
         return Pattern(self.vel_dofs, self.mesh.triangles,
                        (self.velocity_dim, self.temperature_dim),
                        self.unit_weights)
+
+    @cached_property
+    def mass_velocity(self) -> sp.csr_matrix:
+        return _frozen(assemble_mass(self, "velocity"))
+
+    @cached_property
+    def mass_temperature(self) -> sp.csr_matrix:
+        return _frozen(assemble_mass(self, "temperature"))
+
+    @cached_property
+    def divergence(self) -> sp.csr_matrix:
+        return _frozen(assemble_divergence_constraint(self))
+
+    @cached_property
+    def temperature_layout(self) -> "Layout":
+        return Layout(self.temperature_dim,
+                      [(self.temperature_pattern, 0, 0, False)],
+                      self.fixed_temperature_dofs)
+
+    @cached_property
+    def saddle_layout(self) -> "Layout":
+        """The layout of the velocity/head system [[K, D^T], [D, 0]]."""
+        nv, div = self.velocity_dim, self.divergence_pattern
+        return Layout(nv + self.head_dim,
+                      [(self.velocity_pattern, 0, 0, False), (div, 0, nv, True),
+                       (div, nv, 0, False)], self.fixed_velocity_dofs)
+
+
+def _frozen(mat: sp.spmatrix) -> sp.spmatrix:
+    """mat, its data and index arrays made read-only."""
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 def _p2_ref(points: np.ndarray):
@@ -562,15 +589,15 @@ class Pattern:
     which is not stable.  Adding duplicates in this order reproduces
     scipy's sums bit for bit; adding them in element order does not (219
     entries of the 16x16 velocity diffusion differ).  The order is read
-    off once by sorting a CSR matrix of entry ids.  ``sum`` is the identity
-    case; an operator whose blocks hold fewer distinct values maps them
-    through the same slot pointers (``velocity_diffusion_map``,
-    ``velocity_advection_map`` of FunctionSpaces).
+    off once by sorting a CSR matrix of entry ids.  An operator whose
+    blocks hold fewer distinct values maps them through the same slot
+    pointers (``velocity_diffusion_map``, ``velocity_advection_map`` of
+    FunctionSpaces).
 
     The data arrays are what a Picard pass adds: the ``*_data`` kernels of
     the four per-pass operators return them, and no matrix is built.
     ``matrix`` wraps data as a canonical CSR matrix, for the ``assemble_*``
-    functions; ``data_of`` reads data back off such a matrix.
+    functions.
     """
 
     def __init__(self, row_map: np.ndarray, col_map: np.ndarray, shape,
@@ -602,10 +629,6 @@ class Pattern:
         for arr in (self.rows, self.indices, self.indptr):
             arr.setflags(write=False)   # shared by every matrix on the pattern
 
-    def sum(self, loc: np.ndarray) -> np.ndarray:
-        """Data of the assembled matrix: duplicates added in scipy's order."""
-        return self.element_map(loc)
-
     def mapped(self, block_values: np.ndarray, size: int) -> SumMap:
         """The map that reads compact values instead of element blocks:
         block_values[t, a, b] is the compact index of loc[t, a, b]."""
@@ -619,31 +642,107 @@ class Pattern:
         if keep is None:
             indptr, indices = self.indptr.copy(), self.indices.copy()
         else:
-            kept = np.zeros(self.nnz + 1, dtype=np.int32)
-            np.cumsum(keep, out=kept[1:])
-            indptr, indices = kept[self.indptr], self.indices[keep]
+            indptr, indices = _compress(self.indptr, keep, self.indices)
         return sp.csr_matrix((data, indices, indptr), shape=self.shape)
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        # ascending, because the pattern is canonical CSR
-        return self.rows.astype(np.int64) * self.shape[1] + self.indices
 
     @cached_property
     def transposed_slots(self) -> np.ndarray:
         """Slot of (j, i) for each slot (i, j) of a symmetric pattern."""
+        # the keys ascend, because the pattern is canonical CSR
+        keys = self.rows.astype(np.int64) * self.shape[1] + self.indices
         return np.searchsorted(
-            self._keys, self.indices.astype(np.int64) * self.shape[1] + self.rows)
+            keys, self.indices.astype(np.int64) * self.shape[1] + self.rows)
 
-    def data_of(self, mat: sp.csr_matrix) -> np.ndarray:
-        """Data of a canonical CSR matrix whose entries lie on this pattern,
-        spread onto the pattern with 0.0 where it stores nothing."""
-        if mat.nnz == self.nnz:
-            return mat.data
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(mat.indptr))
-        out = np.zeros(self.nnz)
-        out[np.searchsorted(self._keys, rows * self.shape[1] + mat.indices)] = mat.data
-        return out
+
+
+class Layout:
+    """Where each block entry of a linear system lands in its constrained CSC.
+
+    Blocks are operator patterns placed at a row and column offset,
+    optionally transposed.  ``system`` builds the matrix that
+    ``(dm @ A @ dm + diag(fixed)).tocsc()`` gave for the block matrix A and
+    the 0/1 free-dof mask dm, bit for bit:
+
+    - an entry in a fixed row or column is dropped, and each fixed dof
+      gets 1.0 on its diagonal;
+    - every other entry keeps its value and is stored only if it is
+      nonzero, because those sparse products and sums drop exact zeros.
+      Storing them would change the pattern, and with it SuperLU's COLAMD
+      ordering and the rounding of every solve.  The saddle factor of
+      `bgs.solver` pivots with a threshold so that the rows COLAMD's column
+      order puts on the diagonal mostly stay there.
+
+    Which entries are exact zeros rarely changes on a mesh: the divergence
+    blocks' static zeros always, the velocity block's only on passes such
+    as those at z = 0.  So the layout keeps the CSC structure of the last
+    zero set it saw, read-only, across passes and runs, and rebuilds it
+    only when the block data has exact zeros at other entries.
+    """
+
+    def __init__(self, n: int, blocks, fixed: np.ndarray):
+        rows, cols, src = [], [], []
+        offset = 0
+        for pattern, row0, col0, transposed in blocks:
+            r, c = pattern.rows, pattern.indices
+            if transposed:
+                r, c = c, r
+            rows.append(row0 + r.astype(np.int64))
+            cols.append(col0 + c.astype(np.int64))
+            src.append(offset + np.arange(pattern.nnz))
+            offset += pattern.nnz
+        rows, cols, src = (np.concatenate(a) for a in (rows, cols, src))
+        is_fixed = np.zeros(n, dtype=bool)
+        is_fixed[fixed] = True
+        free = ~(is_fixed[rows] | is_fixed[cols])
+        # source `offset` is the 1.0 appended after the block data; an exact
+        # zero is dropped from the system where the source is a free entry
+        self.droppable = np.append(free, False)
+        rows = np.concatenate([rows[free], fixed])
+        cols = np.concatenate([cols[free], fixed])
+        src = np.concatenate([src[free], np.full(len(fixed), offset)])
+        order = np.lexsort((rows, cols))
+        self.src = src[order]
+        self.indices = rows[order].astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        self.mask = np.ones(n)
+        self.mask[fixed] = 0.0
+        self.shape = (n, n)
+        for arr in (self.droppable, self.src, self.indices, self.indptr,
+                    self.mask):
+            arr.setflags(write=False)
+        # (droppable sources that hold exact zeros, kept sources, indices,
+        # indptr) of the structure last built
+        self.structure = None
+
+    def system(self, *block_data: np.ndarray) -> sp.csc_matrix:
+        data = np.concatenate(block_data + (np.ones(1),))
+        zeros = np.flatnonzero(self.droppable & (data == 0))
+        if self.structure is None or not np.array_equal(zeros,
+                                                        self.structure[0]):
+            self.structure = self._structure(data, zeros)
+        _, kept_src, indices, indptr = self.structure
+        return sp.csc_matrix((data[kept_src], indices, indptr),
+                             shape=self.shape)
+
+    def _structure(self, data: np.ndarray, zeros: np.ndarray) -> tuple:
+        """The CSC structure of the entries of data that are not exact
+        zeros; zeros lists the droppable sources that are."""
+        indptr, src, indices = _compress(self.indptr, data[self.src] != 0,
+                                         self.src, self.indices)
+        structure = (zeros, src, indices, indptr)
+        for arr in structure:
+            arr.setflags(write=False)
+        return structure
+
+
+def _compress(indptr: np.ndarray, keep: np.ndarray, *arrays) -> tuple:
+    """(indptr, *arrays) of a compressed sparse structure cut to the
+    entries where keep is true: int32 pointers that count the kept entries
+    before each old pointer, and each array's kept entries."""
+    kept = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    return (kept[indptr],) + tuple(a[keep] for a in arrays)
 
 
 def _finite(data: np.ndarray) -> np.ndarray:
@@ -653,7 +752,8 @@ def _finite(data: np.ndarray) -> np.ndarray:
 
 
 def _summed(loc: np.ndarray, pattern: Pattern) -> np.ndarray:
-    return _finite(pattern.sum(loc))
+    """Data of the assembled matrix: duplicates added in scipy's order."""
+    return _finite(pattern.element_map(loc))
 
 
 def _scatter(loc: np.ndarray, pattern: Pattern) -> sp.csr_matrix:
@@ -667,8 +767,7 @@ def assemble_mass(spaces: FunctionSpaces, which: str) -> sp.csr_matrix:
     if which == "velocity":
         m6 = np.einsum("tq,qab->tab", spaces.quad_w, _sym_outer(spaces.p2_at_q))
         loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
-        loc[:, 0::2, 0::2] = m6
-        loc[:, 1::2, 1::2] = m6
+        loc[:, 0::2, 0::2] = loc[:, 1::2, 1::2] = m6
         return _scatter(loc, spaces.velocity_pattern)
     if which == "temperature":
         loc = np.einsum("tq,qab->tab", spaces.quad_w, _sym_outer(spaces.p1_at_q))
@@ -678,8 +777,8 @@ def assemble_mass(spaces: FunctionSpaces, which: str) -> sp.csr_matrix:
 
 # The four operators that depend on the iterate each have a data kernel:
 # the data of the assembled matrix on the operator's fixed pattern, with
-# 0.0 where the matrix stores nothing (what Pattern.data_of gives), so a
-# Picard pass adds them as arrays and builds no matrix.
+# 0.0 where the matrix stores nothing, so a Picard pass adds them as arrays
+# and builds no matrix.
 
 
 def velocity_diffusion_data(spaces: FunctionSpaces, model,
@@ -881,8 +980,7 @@ def assemble_velocity_h1_gram(spaces: FunctionSpaces) -> sp.csr_matrix:
     outer_k = g[:, :, :, None, :] * g[:, :, None, :, :]
     k6 = np.einsum("tq,tqabd->tab", w, outer_k)
     loc = np.zeros((spaces.mesh.num_triangles, 12, 12))
-    loc[:, 0::2, 0::2] = m6 + k6
-    loc[:, 1::2, 1::2] = m6 + k6
+    loc[:, 0::2, 0::2] = loc[:, 1::2, 1::2] = m6 + k6
     return _scatter(loc, spaces.velocity_pattern)
 
 

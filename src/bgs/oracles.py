@@ -665,8 +665,8 @@ def check_forms(spaces: FunctionSpaces, trials: int = 100,
     record("skew_temperature_advection", worst_c, 1e-13)
 
     # exact symmetry of mass and diffusion matrices
-    worst_sym = max(_abs_asym(forms.assemble_mass(spaces, "velocity")),
-                    _abs_asym(forms.assemble_mass(spaces, "temperature")))
+    worst_sym = max(_abs_asym(spaces.mass_velocity),
+                    _abs_asym(spaces.mass_temperature))
     record("symmetry_mass", worst_sym, 0.0, exact=True)
     worst_sym = 0.0
     for _ in range(min(trials, 20)):

@@ -30,7 +30,9 @@ A Picard pass builds one matrix per system and no other.  It adds the
 data arrays of its operators on their fixed patterns (the data kernels of
 `bgs.forms`), the system's layout places them into CSC through a
 structure it keeps until the set of exact zeros changes, and GMRES and
-the residual checks multiply by scipy's CSC kernel directly.
+the residual checks multiply by scipy's CSC kernel directly.  The layouts,
+mass matrices and D depend only on the mesh and live on `FunctionSpaces`;
+a run builds only the buoyancy matrix and its two factors.
 
 A run is the generator `steps`: it holds the operators, both factors and
 the state before the current one, and yields each new state with its
@@ -191,89 +193,6 @@ def initialize_state(spaces: FunctionSpaces, problem: ProblemData) -> State:
     z.values[spaces.fixed_velocity_dofs] = 0.0
     w.values[spaces.fixed_temperature_dofs] = 0.0
     return State(t=0.0, z=z, w=w, P=forms.zeros_field(spaces, "head"))
-
-
-class _Layout:
-    """Where each block entry of a linear system lands in its constrained CSC.
-
-    Blocks are operator patterns placed at a row and column offset,
-    optionally transposed.  ``system`` builds the matrix that
-    ``(dm @ A @ dm + diag(fixed)).tocsc()`` gave for the block matrix A and
-    the 0/1 free-dof mask dm, bit for bit:
-
-    - an entry in a fixed row or column is dropped, and each fixed dof
-      gets 1.0 on its diagonal;
-    - every other entry keeps its value and is stored only if it is
-      nonzero, because those sparse products and sums drop exact zeros.
-      Storing them would change the pattern, and with it SuperLU's COLAMD
-      ordering and the rounding of every solve.  The saddle factor pivots
-      with a threshold (``_SADDLE_PIVOT_THRESH``) so that the rows COLAMD's
-      column order puts on the diagonal mostly stay there.
-
-    Which entries are exact zeros rarely changes in a run: the divergence
-    blocks' static zeros always, the velocity block's only on passes such
-    as those at z = 0.  So the layout keeps the CSC structure of the last
-    zero set it saw, read-only, and rebuilds it only when the block data
-    has exact zeros at other entries.
-    """
-
-    def __init__(self, n: int, blocks, fixed: np.ndarray):
-        rows, cols, src = [], [], []
-        offset = 0
-        for pattern, row0, col0, transposed in blocks:
-            r, c = pattern.rows, pattern.indices
-            if transposed:
-                r, c = c, r
-            rows.append(row0 + r.astype(np.int64))
-            cols.append(col0 + c.astype(np.int64))
-            src.append(offset + np.arange(pattern.nnz))
-            offset += pattern.nnz
-        rows, cols, src = (np.concatenate(a) for a in (rows, cols, src))
-        is_fixed = np.zeros(n, dtype=bool)
-        is_fixed[fixed] = True
-        free = ~(is_fixed[rows] | is_fixed[cols])
-        # source `offset` is the 1.0 appended after the block data; an exact
-        # zero is dropped from the system where the source is a free entry
-        self.droppable = np.append(free, False)
-        rows = np.concatenate([rows[free], fixed])
-        cols = np.concatenate([cols[free], fixed])
-        src = np.concatenate([src[free], np.full(len(fixed), offset)])
-        order = np.lexsort((rows, cols))
-        self.src = src[order]
-        self.indices = rows[order].astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
-        self.mask = np.ones(n)
-        self.mask[fixed] = 0.0
-        self.shape = (n, n)
-        for arr in (self.droppable, self.src, self.indices, self.indptr,
-                    self.mask):
-            arr.setflags(write=False)
-        # (droppable sources that hold exact zeros, kept sources, indices,
-        # indptr) of the structure last built
-        self.structure = None
-
-    def system(self, *block_data: np.ndarray) -> sp.csc_matrix:
-        data = np.concatenate(block_data + (np.ones(1),))
-        zeros = np.flatnonzero(self.droppable & (data == 0))
-        if self.structure is None or not np.array_equal(zeros,
-                                                        self.structure[0]):
-            self.structure = self._structure(data, zeros)
-        _, kept_src, indices, indptr = self.structure
-        return sp.csc_matrix((data[kept_src], indices, indptr),
-                             shape=self.shape)
-
-    def _structure(self, data: np.ndarray, zeros: np.ndarray) -> tuple:
-        """The CSC structure of the entries of data that are not exact
-        zeros; zeros lists the droppable sources that are."""
-        keep = data[self.src] != 0
-        kept = np.zeros(len(keep) + 1, dtype=np.int32)
-        np.cumsum(keep, out=kept[1:])
-        structure = (zeros, self.src[keep], self.indices[keep],
-                     kept[self.indptr])
-        for arr in structure:
-            arr.setflags(write=False)
-        return structure
 
 
 # Picard passes after the first of a run solve each system by GMRES
@@ -485,38 +404,18 @@ class _LaggedFactor:
 
 @dataclass(frozen=True)
 class _Operators:
-    """What a run carries from step to step: the fixed matrices and system
-    layouts, and one lagged factor per linear system."""
+    """What a run carries from step to step beside the per-mesh structure
+    of its spaces: the buoyancy matrix and one lagged factor per system."""
 
-    mass_velocity: sp.csr_matrix
-    mass_temperature: sp.csr_matrix
-    divergence: sp.csr_matrix
     buoyancy: sp.csr_matrix
-    temperature_layout: _Layout
-    saddle_layout: _Layout
     saddle_factor: _LaggedFactor = field(default_factory=_LaggedFactor)
     temperature_factor: _LaggedFactor = field(
         default_factory=lambda: _LaggedFactor(_factor_temperature))
 
 
 def build_operators(spaces: FunctionSpaces, problem: ProblemData) -> _Operators:
-    nv = spaces.velocity_dim
-    div = spaces.divergence_pattern
     return _Operators(
-        mass_velocity=forms.assemble_mass(spaces, "velocity"),
-        mass_temperature=forms.assemble_mass(spaces, "temperature"),
-        divergence=forms.assemble_divergence_constraint(spaces),
-        buoyancy=forms.assemble_buoyancy(spaces, problem.beta, problem.g),
-        temperature_layout=_Layout(
-            spaces.temperature_dim,
-            [(spaces.temperature_pattern, 0, 0, False)],
-            spaces.fixed_temperature_dofs),
-        # [[K, D^T], [D, 0]]
-        saddle_layout=_Layout(
-            nv + spaces.head_dim,
-            [(spaces.velocity_pattern, 0, 0, False), (div, 0, nv, True),
-             (div, nv, 0, False)],
-            spaces.fixed_velocity_dofs))
+        buoyancy=forms.assemble_buoyancy(spaces, problem.beta, problem.g))
 
 
 def _checked(stage: str, solve, *args) -> np.ndarray:
@@ -530,7 +429,7 @@ def _checked(stage: str, solve, *args) -> np.ndarray:
     return x
 
 
-def _solve_constrained(layout: _Layout, block_data: tuple, rhs: np.ndarray,
+def _solve_constrained(layout: forms.Layout, block_data: tuple, rhs: np.ndarray,
                        stage: str, lagged: _LaggedFactor) -> np.ndarray:
     """Solve with essential dofs eliminated, through the lagged factor."""
     system = layout.system(*block_data)
@@ -549,7 +448,7 @@ def _temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
     data = mass_dt + forms.temperature_diffusion_data(spaces, problem.model,
                                                       w_coeff)
     data += forms.temperature_advection_data(spaces, z_coeff)
-    return _solve_constrained(ops.temperature_layout, (data,), rhs,
+    return _solve_constrained(spaces.temperature_layout, (data,), rhs,
                               "temperature", ops.temperature_factor)
 
 
@@ -558,11 +457,11 @@ def _velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
     k_data = mass_dt + forms.velocity_diffusion_data(
         spaces, problem.model, FieldVector("temperature", w_new))
     k_data += forms.velocity_advection_data(spaces, z_coeff)
-    d_data = spaces.divergence_pattern.data_of(ops.divergence)
+    d_data = spaces.divergence.data
     rhs = np.concatenate([
         rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),
         np.zeros(spaces.head_dim)])
-    x = _solve_constrained(ops.saddle_layout, (k_data, d_data, d_data), rhs,
+    x = _solve_constrained(spaces.saddle_layout, (k_data, d_data, d_data), rhs,
                            "velocity/head", lagged)
     return x[:spaces.velocity_dim], x[spaces.velocity_dim:]
 
@@ -593,11 +492,11 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
 
     load_w = forms.assemble_temperature_load(spaces, problem.f2, problem.v2, t_new)
     load_z = forms.assemble_velocity_load(spaces, problem.f1, problem.v1, t_new)
-    rhs_w = ops.mass_temperature @ state.w.values / config.dt + load_w
-    rhs_z = ops.mass_velocity @ state.z.values / config.dt + load_z
+    rhs_w = spaces.mass_temperature @ state.w.values / config.dt + load_w
+    rhs_z = spaces.mass_velocity @ state.z.values / config.dt + load_z
     scale = 1.0 / config.dt
-    mass_w = spaces.temperature_pattern.data_of(ops.mass_temperature) * scale
-    mass_z = spaces.velocity_pattern.data_of(ops.mass_velocity) * scale
+    mass_w = spaces.mass_temperature.data * scale
+    mass_z = spaces.mass_velocity.data * scale
 
     if previous is not None:
         z_coeff = FieldVector("velocity", 2.0 * state.z.values - previous.z.values)
@@ -643,8 +542,7 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                       P=FieldVector("head", p_new))
     diag = compute_diagnostics(spaces, new_state, config.constants_for_re_ra,
                                problem.model, picard_iters=passes,
-                               picard_converged=converged,
-                               divergence_matrix=ops.divergence)
+                               picard_converged=converged)
     return new_state, diag
 
 
@@ -695,11 +593,8 @@ def re_ra(constants, gamma0: float, k0: float, z_l4: float,
 
 def compute_diagnostics(spaces: FunctionSpaces, state: State, constants,
                         model: CoefficientModel, picard_iters: int = 0,
-                        picard_converged: bool = True,
-                        divergence_matrix: sp.spmatrix | None = None) -> Diagnostics:
+                        picard_converged: bool = True) -> Diagnostics:
     """Norms of the current fields plus the uniqueness-condition indicator."""
-    d_mat = (divergence_matrix if divergence_matrix is not None
-             else forms.assemble_divergence_constraint(spaces))
     z_l4 = forms.l4_norm(spaces, state.z)
     w_l4 = forms.l4_norm(spaces, state.w)
     re, ra = re_ra(constants, model.gamma0, model.k0, z_l4, w_l4)
@@ -714,7 +609,7 @@ def compute_diagnostics(spaces: FunctionSpaces, state: State, constants,
         Re=re,
         Ra=ra,
         Re_plus_Ra=re + ra,
-        div_residual=float(np.linalg.norm(d_mat @ state.z.values)),
+        div_residual=float(np.linalg.norm(spaces.divergence @ state.z.values)),
         picard_iters=picard_iters,
         picard_converged=picard_converged)
 
@@ -731,7 +626,7 @@ def _free_velocity_dofs(spaces: FunctionSpaces) -> np.ndarray:
 def _divergence_free_solver(spaces: FunctionSpaces, free_v: np.ndarray,
                             block: sp.spmatrix):
     """u(r) from [[block, D^T], [D, 0]] [u; p] = [r; 0] on free dofs; one LU."""
-    d = forms.assemble_divergence_constraint(spaces).tocsr()[:, free_v]
+    d = spaces.divergence[:, free_v]
     lu = _factor_saddle(sp.bmat([[block, d.T], [d, None]], format="csc"))
     pad = np.zeros(d.shape[0])
     return lambda r: lu.solve(np.concatenate([r, pad]))[:len(free_v)]

@@ -73,20 +73,20 @@ def coo_assembled(assemble, spaces, *args):
 
     The velocity diffusion and advection blocks come from the copies
     above.  Every other assembler's element blocks are its own: its one
-    `Pattern.sum` call is captured and replayed through `coo_scatter`.
+    `forms._summed` call is captured and replayed through `coo_scatter`.
     """
     if assemble in _VELOCITY_BLOCKS:
         loc = _VELOCITY_BLOCKS[assemble](spaces, *args)
         return coo_scatter(loc, spaces.vel_dofs, spaces.vel_dofs,
                            spaces.velocity_pattern.shape)
     blocks = []
-    original = forms.Pattern.sum
+    original = forms._summed
 
-    def capture(pattern, loc):
+    def capture(loc, pattern):
         blocks.append((pattern, loc.copy()))
-        return original(pattern, loc)
+        return original(loc, pattern)
 
-    with mock.patch.object(forms.Pattern, "sum", capture):
+    with mock.patch.object(forms, "_summed", capture):
         assemble(spaces, *args)
     (pattern, loc), = blocks
     mat = coo_scatter(loc, *_maps(spaces, pattern), pattern.shape)
@@ -107,7 +107,7 @@ def constrain(matrix, rhs, fixed):
 
 
 def layout_system(layout, *block_data):
-    """`solver._Layout.system` as it was before it kept its structure:
+    """`forms.Layout.system` as it was before it kept its structure:
     the keep mask, its cumsum and the index gathers on every call."""
     values = np.concatenate(block_data + (np.ones(1),))[layout.src]
     keep = values != 0
@@ -134,7 +134,7 @@ def temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
     step's M / dt data, mass_dt, is not used: M / dt is formed here."""
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
-    system = ops.mass_temperature / config.dt + a_k + c_tilde
+    system = spaces.mass_temperature / config.dt + a_k + c_tilde
     return _solve_constrained(system, rhs, spaces.fixed_temperature_dofs,
                               "temperature", ops.temperature_factor)
 
@@ -146,9 +146,9 @@ def velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
     a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
                                             FieldVector("temperature", w_new))
     n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
-    k_block = ops.mass_velocity / config.dt + a_g + n_adv
-    saddle = sp.bmat([[k_block, ops.divergence.T],
-                      [ops.divergence, None]], format="csr")
+    k_block = spaces.mass_velocity / config.dt + a_g + n_adv
+    saddle = sp.bmat([[k_block, spaces.divergence.T],
+                      [spaces.divergence, None]], format="csr")
     rhs = np.concatenate([
         rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),
         np.zeros(spaces.head_dim)])

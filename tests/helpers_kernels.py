@@ -7,6 +7,9 @@ temperature advection contracted velocity and gradients with an `einsum`.
 The copies below are kept verbatim, so tests can require the cached-geometry
 paths to give the same bytes.
 
+`data_of` reads an assembled matrix's data back onto its operator
+pattern, the form in which the data kernels return it.
+
 The trilinear form b and its moment vectors were evaluated one field at a
 time from the quadrature kernels; they now go through sparse quadrature
 maps on column stacks, which adds in another order.  Their per-field
@@ -138,3 +141,17 @@ def b_moment_vectors(spaces, u, v, w):
     for k, loc in enumerate((loc_u, loc_v, loc_w)):
         np.add.at(out[k], spaces.vel_dofs.ravel(), loc.ravel())
     return out[0], out[1], out[2]
+
+
+def data_of(pattern, mat):
+    """Data of a canonical CSR matrix whose entries lie on pattern, spread
+    onto the pattern with 0.0 where the matrix stores nothing: the
+    reference the data kernels are held to."""
+    if mat.nnz == pattern.nnz:
+        return mat.data
+    ncols = pattern.shape[1]
+    keys = pattern.rows.astype(np.int64) * ncols + pattern.indices
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(mat.indptr))
+    out = np.zeros(pattern.nnz)
+    out[np.searchsorted(keys, rows * ncols + mat.indices)] = mat.data
+    return out

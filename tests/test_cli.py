@@ -93,6 +93,9 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys,
     assert "Traceback" not in err
     assert err.startswith("ERROR: config: cannot write output: ")
     assert len(err.splitlines()) == 1 and path in err
+    # nothing is left behind: no output directory, no constants.json
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+    assert not list(tmp_path.rglob("constants.json"))
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):
@@ -244,16 +247,20 @@ def test_underflowing_re_ra_denominator_exits_2(tmp_path, capsys, monkeypatch,
         assert "Traceback" not in err
 
 
-def test_underflowing_re_ra_denominator_exits_3(tmp_path, capsys):
-    # with estimated constants the run finds gamma0 * k0 * c1 * c1' = 0.0
+def test_underflowing_re_ra_denominator_with_estimated_constants_exits_2(
+        tmp_path, capsys):
+    # once the constants are estimated, gamma0 * k0 * c1 * c1' is 0.0: the
+    # config is rejected before any step or output
     tiny = {"kind": "constant", "value": 1e-200}
     cfg = tmp_path / "cfg.json"
     write_config(cfg, coefficients={"viscosity": tiny, "conductivity": tiny},
                  solver={"constants": "estimate"})
-    assert cli.main(["run", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("ERROR: solver: step 1 (t=0.1): Re/Ra not representable")
-    assert "Traceback" not in err
+    for command in ("run", "contract"):
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: config: solver.constants: 4*d/(gamma0*c1)")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("problem, dt, gravity", [

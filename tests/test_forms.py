@@ -424,14 +424,14 @@ def test_data_kernels_match_the_assembled_data_bit_for_bit(mesh):
                 (forms.temperature_diffusion_data,
                  forms.assemble_temperature_diffusion, s.temperature_pattern)):
             _same_bytes(kernel(s, _TANH_MODEL, w),
-                        pattern.data_of(assemble(s, _TANH_MODEL, w)))
+                        hk.data_of(pattern, assemble(s, _TANH_MODEL, w)))
     for z in fields("velocity"):
         for kernel, assemble, pattern in (
                 (forms.velocity_advection_data, forms.assemble_velocity_advection,
                  s.velocity_pattern),
                 (forms.temperature_advection_data,
                  forms.assemble_temperature_advection, s.temperature_pattern)):
-            _same_bytes(kernel(s, z), pattern.data_of(assemble(s, z)))
+            _same_bytes(kernel(s, z), hk.data_of(pattern, assemble(s, z)))
     # at z = 0 the advection matrix drops every entry, so data_of spreads
     # its data onto the pattern with +0.0 where it stores nothing
     z_zero = forms.zeros_field(s, "velocity")
@@ -478,6 +478,27 @@ def test_element_tables_are_read_only_and_built_once():
         assert sum_map.weights.base is s.unit_weights
         assert len(sum_map.weights) == len(sum_map.cols)
     assert np.all(s.unit_weights == 1.0) and not s.unit_weights.flags.writeable
+
+
+def test_solver_structure_is_built_on_first_use_and_read_only():
+    s = build_spaces(build_rectangle_mesh(3, 3, ("left",)))
+    cached = ("mass_velocity", "mass_temperature", "divergence",
+              "temperature_layout", "saddle_layout")
+    assert not any(name in vars(s) for name in cached)
+    first = [getattr(s, name) for name in cached]
+    assert all(getattr(s, name) is obj for name, obj in zip(cached, first))
+    _assert_same_csr(s.mass_velocity, forms.assemble_mass(s, "velocity"))
+    _assert_same_csr(s.mass_temperature, forms.assemble_mass(s, "temperature"))
+    _assert_same_csr(s.divergence, forms.assemble_divergence_constraint(s))
+    arrays = []
+    for mat in first[:3]:
+        arrays += [mat.data, mat.indices, mat.indptr]
+    for layout in first[3:]:
+        arrays += [layout.droppable, layout.src, layout.indices,
+                   layout.indptr, layout.mask]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_boundary_and_edge_arrays_are_read_only():

@@ -892,8 +892,8 @@ def _stress_saddle_system():
     ops = solver.build_operators(spaces, problem)
     solver._velocity_pass(
         spaces, problem, SolverConfig(dt=100.0, t_end=100.0), ops,
-        spaces.velocity_pattern.data_of(ops.mass_velocity) * (1.0 / 100.0),
-        ops.mass_velocity @ z / 100.0 + np.zeros(spaces.velocity_dim),
+        spaces.mass_velocity.data * (1.0 / 100.0),
+        spaces.mass_velocity @ z / 100.0 + np.zeros(spaces.velocity_dim),
         forms.FieldVector("velocity", z), np.zeros(spaces.temperature_dim),
         captured)
     return captured.system, captured.rhs
@@ -1007,29 +1007,77 @@ def test_run_builds_no_block_matrix_and_converts_no_coo(monkeypatch):
 
 def test_run_builds_only_the_fixed_operator_matrices(monkeypatch):
     real_matrix = forms.Pattern.matrix
-    calls = []
+    real_layout = forms.Layout.__init__
+    calls, layouts = [], []
 
     def matrix(self, data, keep=None):
         calls.append(self)
         return real_matrix(self, data, keep)
 
+    def layout(self, *args):
+        layouts.append(self)
+        real_layout(self, *args)
+
     monkeypatch.setattr(forms.Pattern, "matrix", matrix)
+    monkeypatch.setattr(forms.Layout, "__init__", layout)
     spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
-    # M_velocity, M_temperature, D and G, once per run
-    fixed = [spaces.velocity_pattern, spaces.temperature_pattern,
-             spaces.divergence_pattern, spaces.buoyancy_pattern]
-    for t_end in (0.01, 0.05):
+    # the first run builds M_velocity, M_temperature, D and both layouts on
+    # the spaces, and G for itself; every later run builds G alone
+    fixed = {spaces.velocity_pattern, spaces.temperature_pattern,
+             spaces.divergence_pattern, spaces.buoyancy_pattern}
+    for k, t_end in enumerate((0.01, 0.05, 0.02)):
         calls.clear()
+        layouts.clear()
         _, diags = run(spaces, _still_cavity(), SolverConfig(dt=0.01, t_end=t_end))
         assert sum(d.picard_iters for d in diags) >= len(diags) > 0
-        assert calls == fixed
+        if k == 0:
+            assert len(calls) == 4 and set(calls) == fixed
+            assert len(layouts) == 2
+        else:
+            assert calls == [spaces.buoyancy_pattern] and layouts == []
+    assert set(layouts) <= {spaces.temperature_layout, spaces.saddle_layout}
+
+
+def test_runs_sharing_spaces_match_runs_on_fresh_spaces_bit_for_bit(monkeypatch):
+    mesh = build_rectangle_mesh(8, 8, ("left",))
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    cavity = (_still_cavity(), SolverConfig(dt=0.01, t_end=0.05))
+    mms = (oracles.make_mms_problem(model, beta=0.5),
+           SolverConfig(dt=1e-3, t_end=0.01))
+    real_structure = forms.Layout._structure
+    rebuilt = []
+
+    def structure(self, data, zeros):
+        rebuilt.append(self)
+        return real_structure(self, data, zeros)
+
+    monkeypatch.setattr(forms.Layout, "_structure", structure)
+    shared = build_spaces(mesh)
+    for problem, config in (cavity, mms, cavity):
+        rebuilt.clear()
+        got = _run_recording_systems(shared, problem, config, False)
+        shared_rebuilt = list(rebuilt)
+        want = _run_recording_systems(build_spaces(mesh), problem, config, False)
+        for a, b in zip(got[0], want[0], strict=True):
+            for name in ("z", "w", "P"):
+                assert getattr(a, name).values.tobytes() == \
+                    getattr(b, name).values.tobytes()
+        assert ([repr(d.csv_values()) for d in got[1]]
+                == [repr(d.csv_values()) for d in want[1]])
+        for x, y in zip(got[2], want[2], strict=True):
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(x, attr), getattr(y, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    # z0 = 0 in the cavity: its first pass has exact zeros that the MMS run
+    # ended without, so the shared saddle layout rebuilt its structure
+    assert shared.saddle_layout in shared_rebuilt
 
 
 def test_layout_keeps_its_structure_until_the_zero_set_changes(monkeypatch):
     spaces, problem, config = _bit_case("cavity_8x8")
     real_constrained = solver._solve_constrained
     real_solve = solver._LaggedFactor.solve
-    real_structure = solver._Layout._structure
+    real_structure = forms.Layout._structure
     built, handed, rebuilt = [], [], []
 
     def solve_constrained(layout, block_data, *args):
@@ -1046,7 +1094,7 @@ def test_layout_keeps_its_structure_until_the_zero_set_changes(monkeypatch):
 
     monkeypatch.setattr(solver, "_solve_constrained", solve_constrained)
     monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
-    monkeypatch.setattr(solver._Layout, "_structure", structure)
+    monkeypatch.setattr(forms.Layout, "_structure", structure)
     _, diags = run(spaces, problem, config)
     assert len(built) == len(handed) == 2 * sum(d.picard_iters for d in diags)
 
