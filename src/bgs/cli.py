@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from . import forms, oracles, solver
-from .coefficients import (CoefficientModel, clamped_affine_law, constant_law,
-                           tanh_blend_law)
+from .coefficients import LAWS, CoefficientModel
 from .mesh import SIDES, build_rectangle_mesh, refine_uniform
 
 CSV_HEADER = ",".join(solver.Diagnostics.CSV_FIELDS)
@@ -54,12 +53,18 @@ def _default_config() -> dict:
                     "buoyancy_sign_flag": 1},
         "data": {"problem": "zero"},
         "time": {"dt": 0.01, "t_end": 0.1},
-        "solver": {"picard_max": 25, "picard_tol": 1e-10,
-                   "constants": {"c1": 1.0, "c1_prime": 1.0, "d": 1.0}},
+        "solver": {"picard_max": solver.SolverConfig.picard_max,
+                   "picard_tol": solver.SolverConfig.picard_tol,
+                   "constants": dict(solver.DEFAULT_CONSTANTS)},
         "output": {"directory": ".", "vtk_every": 0,
                    "csv_name": "diagnostics.csv"},
         "study": {"levels": 3, "base_n": 4, "delta": 1e-3},
     }
+
+
+def _is_number(val) -> bool:
+    """Whether a JSON value is a number; a bool is not."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _is_finite(val) -> bool:
@@ -91,7 +96,7 @@ class _Check:
         if key not in raw:
             return
         val = raw[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        if not _is_number(val):
             self.fail(f"{path}.{key}", f"must be a number, got {val!r}")
             return
         if integer and not (isinstance(val, int) or float(val).is_integer()):
@@ -108,34 +113,25 @@ class _Check:
 
 
 def _validate_law(chk: _Check, raw, path):
-    by_kind = {
-        "constant": {"value"},
-        "clamped_affine": {"intercept", "slope", "lo", "hi"},
-        "tanh_blend": {"lo", "hi"},
-    }
     if not isinstance(raw, dict):
         chk.fail(path, "must be an object")
         return
     kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in by_kind:
+    if not isinstance(kind, str) or kind not in LAWS:
         chk.fail(f"{path}.kind",
-                 f"must be one of {sorted(by_kind)}, got {kind!r}")
+                 f"must be one of {sorted(LAWS)}, got {kind!r}")
         return
-    allowed = by_kind[kind] | {"kind"}
-    chk.section(raw, path, allowed)
-    for key in sorted(by_kind[kind] - set(raw)):
+    params = LAWS[kind][1]
+    chk.section(raw, path, {"kind", *params})
+    for key in sorted(set(params) - set(raw)):
         chk.fail(f"{path}.{key}", f"required for kind {kind!r}")
     chk.number(raw, path, "value", lo=0.0, strict_lo=True)
     chk.number(raw, path, "intercept")
     chk.number(raw, path, "slope")
     chk.number(raw, path, "lo", lo=0.0, strict_lo=True)
     chk.number(raw, path, "hi", lo=0.0, strict_lo=True)
-    if ("lo" in raw and "hi" in raw
-            and isinstance(raw["lo"], (int, float))
-            and isinstance(raw["hi"], (int, float))
-            and not isinstance(raw["lo"], bool)
-            and not isinstance(raw["hi"], bool)
-            and raw["hi"] < raw["lo"]):
+    lo, hi = raw.get("lo"), raw.get("hi")
+    if _is_number(lo) and _is_number(hi) and hi < lo:
         chk.fail(f"{path}.hi", "must be >= lo")
 
 
@@ -145,71 +141,65 @@ def validate_config(raw) -> dict:
     cfg = _default_config()
     if not isinstance(raw, dict):
         raise ConfigError("top level: must be a JSON object")
-    chk.section(raw, "config", set(cfg))
+    chk.section(raw, "config", cfg)
 
     mesh = raw.get("mesh", {})
-    if chk.section(mesh, "mesh", {"nx", "ny", "gamma1_sides", "refinements"}):
+    if chk.section(mesh, "mesh", cfg["mesh"]):
         chk.number(mesh, "mesh", "nx", lo=1, integer=True)
         chk.number(mesh, "mesh", "ny", lo=1, integer=True)
         chk.number(mesh, "mesh", "refinements", lo=0, hi=6, integer=True)
-        sides = mesh.get("gamma1_sides")
-        if sides is not None:
-            if (not isinstance(sides, list) or not sides
-                    or not all(isinstance(s, str) for s in sides)):
-                chk.fail("mesh.gamma1_sides", "must be a non-empty string list")
-            else:
-                for s in sides:
-                    if s not in SIDES:
-                        chk.fail("mesh.gamma1_sides",
-                                 f"unknown side {s!r} (choose from {SIDES})")
-                if set(sides) == set(SIDES):
+        sides = mesh.get("gamma1_sides", cfg["mesh"]["gamma1_sides"])
+        if (not isinstance(sides, list) or not sides
+                or not all(isinstance(s, str) for s in sides)):
+            chk.fail("mesh.gamma1_sides", "must be a non-empty string list")
+        else:
+            for s in sides:
+                if s not in SIDES:
                     chk.fail("mesh.gamma1_sides",
-                             "at least one side must remain GAMMA2")
+                             f"unknown side {s!r} (choose from {SIDES})")
+            if set(sides) == set(SIDES):
+                chk.fail("mesh.gamma1_sides",
+                         "at least one side must remain GAMMA2")
 
     coeff = raw.get("coefficients", {})
     before = len(chk.errors)
-    if chk.section(coeff, "coefficients", {"viscosity", "conductivity"}):
-        for name in ("viscosity", "conductivity"):
+    if chk.section(coeff, "coefficients", cfg["coefficients"]):
+        for name in cfg["coefficients"]:
             if name in coeff:
                 _validate_law(chk, coeff[name], f"coefficients.{name}")
     # valid laws, for the Re/Ra check
     laws = None
     if len(chk.errors) == before:
-        laws = {name: coeff.get(name, cfg["coefficients"][name])
-                for name in ("viscosity", "conductivity")}
+        laws = {**cfg["coefficients"], **coeff}
 
     phys = raw.get("physics", {})
-    if chk.section(phys, "physics", {"beta", "gravity", "buoyancy_sign_flag"}):
+    if chk.section(phys, "physics", cfg["physics"]):
         chk.number(phys, "physics", "beta", lo=0.0)
-        grav = phys.get("gravity")
-        if grav is not None and grav != "constant_down":
-            ok = (isinstance(grav, list) and len(grav) == 2
-                  and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                          and _is_finite(c) for c in grav))
-            if not ok:
-                chk.fail("physics.gravity",
-                         'must be "constant_down" or a finite 2-vector')
-        flag = phys.get("buoyancy_sign_flag")
-        if flag is not None and flag not in (1, -1):
+        grav = phys.get("gravity", cfg["physics"]["gravity"])
+        if grav != "constant_down" and not (
+                isinstance(grav, list) and len(grav) == 2
+                and all(_is_number(c) and _is_finite(c) for c in grav)):
+            chk.fail("physics.gravity",
+                     'must be "constant_down" or a finite 2-vector')
+        flag = phys.get("buoyancy_sign_flag",
+                        cfg["physics"]["buoyancy_sign_flag"])
+        if flag not in (1, -1):
             chk.fail("physics.buoyancy_sign_flag", f"must be 1 or -1, got {flag!r}")
 
     data = raw.get("data", {})
-    if chk.section(data, "data", {"problem"}):
-        prob = data.get("problem")
-        if prob is not None and prob not in PROBLEM_NAMES:
+    if chk.section(data, "data", cfg["data"]):
+        prob = data.get("problem", cfg["data"]["problem"])
+        if prob not in PROBLEM_NAMES:
             chk.fail("data.problem",
                      f"must be one of {PROBLEM_NAMES}, got {prob!r}")
 
     tsec = raw.get("time", {})
-    if chk.section(tsec, "time", {"dt", "t_end"}):
+    if chk.section(tsec, "time", cfg["time"]):
         chk.number(tsec, "time", "dt", lo=0.0, strict_lo=True)
         chk.number(tsec, "time", "t_end", lo=0.0, strict_lo=True)
         dt = tsec.get("dt", cfg["time"]["dt"])
         t_end = tsec.get("t_end", cfg["time"]["t_end"])
-        if (isinstance(dt, (int, float)) and isinstance(t_end, (int, float))
-                and not isinstance(dt, bool) and not isinstance(t_end, bool)
-                and _is_finite(dt) and _is_finite(t_end)
-                and dt > 0 and t_end > 0):
+        if all(_is_number(v) and _is_finite(v) and v > 0 for v in (dt, t_end)):
             if dt > t_end * (1 + 1e-12):
                 chk.fail("time.dt", "must not exceed time.t_end")
             elif not math.isfinite(t_end / dt):
@@ -220,30 +210,29 @@ def validate_config(raw) -> dict:
                          f"steps, got {t_end!r}/{dt!r}")
 
     solv = raw.get("solver", {})
-    if chk.section(solv, "solver",
-                   {"picard_max", "picard_tol", "constants"}):
+    if chk.section(solv, "solver", cfg["solver"]):
         chk.number(solv, "solver", "picard_max", lo=1, integer=True)
         chk.number(solv, "solver", "picard_tol", lo=0.0, strict_lo=True)
         cst = solv.get("constants", {})
         # estimated constants are checked once estimated (_resolve_constants)
         if cst != "estimate":
             before = len(chk.errors)
-            if chk.section(cst, "solver.constants", {"c1", "c1_prime", "d"}):
-                for key in ("c1", "c1_prime", "d"):
+            if chk.section(cst, "solver.constants", solver.DEFAULT_CONSTANTS):
+                for key in solver.DEFAULT_CONSTANTS:
                     chk.number(cst, "solver.constants", key, lo=0.0,
                                strict_lo=True)
                 if len(chk.errors) == before and laws is not None:
                     chk.errors += _re_ra_errors(cst, laws)
 
     out = raw.get("output", {})
-    if chk.section(out, "output", {"directory", "vtk_every", "csv_name"}):
+    if chk.section(out, "output", cfg["output"]):
         chk.number(out, "output", "vtk_every", lo=0, integer=True)
         for key in ("directory", "csv_name"):
             if key in out and (not isinstance(out[key], str) or not out[key]):
                 chk.fail(f"output.{key}", "must be a non-empty string")
 
     study = raw.get("study", {})
-    if chk.section(study, "study", {"levels", "base_n", "delta"}):
+    if chk.section(study, "study", cfg["study"]):
         chk.number(study, "study", "levels", lo=3, integer=True)
         chk.number(study, "study", "base_n", lo=1, integer=True)
         chk.number(study, "study", "delta", lo=0.0)
@@ -252,12 +241,7 @@ def validate_config(raw) -> dict:
         raise ConfigError(chk.errors)
 
     for section, values in raw.items():
-        if isinstance(values, dict) and section != "coefficients":
-            cfg[section].update(values)
-    if "coefficients" in raw:
-        for name in ("viscosity", "conductivity"):
-            if name in raw["coefficients"]:
-                cfg["coefficients"][name] = raw["coefficients"][name]
+        cfg[section].update(values)
     return cfg
 
 
@@ -281,13 +265,8 @@ def load_config(path: str) -> dict:
 
 
 def _build_law(raw):
-    kind = raw["kind"]
-    if kind == "constant":
-        return constant_law(raw["value"])
-    if kind == "clamped_affine":
-        return clamped_affine_law(raw["intercept"], raw["slope"],
-                                  raw["lo"], raw["hi"])
-    return tanh_blend_law(raw["lo"], raw["hi"])
+    factory, params = LAWS[raw["kind"]]
+    return factory(*(raw[key] for key in params))
 
 
 def _re_ra_errors(constants, laws) -> list[str]:
@@ -403,6 +382,12 @@ def _write_rows(path: str, header, rows) -> None:
             fh.flush()
 
 
+def _write_report(cfg, command: str, header, rows) -> None:
+    outdir = cfg["output"]["directory"]
+    os.makedirs(outdir, exist_ok=True)
+    _write_rows(os.path.join(outdir, f"report_{command}.csv"), header, rows)
+
+
 def write_diagnostics_csv(path: str, diagnostics) -> None:
     _write_rows(path, CSV_HEADER, (diag.csv_values() for diag in diagnostics))
 
@@ -457,7 +442,7 @@ def _verdict(command: str, report) -> int:
     return 0
 
 
-def _cmd_run(cfg, seed: int) -> int:
+def _cmd_run(cfg, args) -> int:
     # a missing CSV directory fails here, before the run creates anything
     outdir = cfg["output"]["directory"]
     csv_path = os.path.join(outdir, cfg["output"]["csv_name"])
@@ -472,7 +457,6 @@ def _cmd_run(cfg, seed: int) -> int:
     config = build_solver_config(cfg, constants)
 
     os.makedirs(outdir, exist_ok=True)
-    _write_constants(outdir, constants, source)
     every = int(cfg["output"]["vtk_every"])
     capped = False
 
@@ -481,8 +465,11 @@ def _cmd_run(cfg, seed: int) -> int:
             write_vtk(os.path.join(outdir, f"fields_{i:06d}.vtk"), spaces, state)
 
     def streamed():
-        # each step's VTK file and CSV row are written before the next step
+        # runs once the CSV is open, so an unwritable CSV leaves no
+        # constants.json; each step's VTK file and CSV row are written
+        # before the next step
         nonlocal capped
+        _write_constants(outdir, constants, source)
         state = solver.initialize_state(spaces, problem)
         snapshot(0, state)
         for i, (state, diag) in enumerate(
@@ -499,7 +486,7 @@ def _cmd_run(cfg, seed: int) -> int:
     return 0
 
 
-def _cmd_mms(cfg, seed: int) -> int:
+def _cmd_mms(cfg, args) -> int:
     model = build_model(cfg)
     report = oracles.convergence_study(
         model, levels=int(cfg["study"]["levels"]),
@@ -509,8 +496,6 @@ def _cmd_mms(cfg, seed: int) -> int:
         gamma1_sides=tuple(cfg["mesh"]["gamma1_sides"]),
         buoyancy_sign=float(cfg["physics"]["buoyancy_sign_flag"]))
 
-    outdir = cfg["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
     metrics = list(oracles.RATE_TARGETS)
     header = (["level", "n", "h"] + metrics
               + [f"rate_{m}" for m in metrics] + ["wall_clock"])
@@ -519,7 +504,7 @@ def _cmd_mms(cfg, seed: int) -> int:
         rates = [report.rates[m][k - 1] if k else None for m in metrics]
         rows.append([k, lv.n, lv.h] + [lv.errors[m] for m in metrics]
                     + rates + [lv.wall_clock])
-    _write_rows(os.path.join(outdir, "report_mms.csv"), header, rows)
+    _write_report(cfg, "mms", header, rows)
 
     for m in metrics:
         print(f"mms: {m} finest rate {report.rates[m][-1]:.3f} "
@@ -527,7 +512,7 @@ def _cmd_mms(cfg, seed: int) -> int:
     return _verdict("mms", report)
 
 
-def _cmd_cauchy(cfg, seed: int) -> int:
+def _cmd_cauchy(cfg, args) -> int:
     model = build_model(cfg)
     problem = build_problem(cfg, model)
     report = oracles.cauchy_study(
@@ -536,23 +521,20 @@ def _cmd_cauchy(cfg, seed: int) -> int:
         base_n=int(cfg["study"]["base_n"]),
         gamma1_sides=tuple(cfg["mesh"]["gamma1_sides"]))
 
-    outdir = cfg["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
     rows = []
     for k in range(len(report.e_velocity)):
         rows.append([k, report.e_velocity[k], report.e_temperature[k],
                      report.ratios_velocity[k - 1] if k else None,
                      report.ratios_temperature[k - 1] if k else None])
-    _write_rows(os.path.join(outdir, "report_cauchy.csv"),
-                ["pair", "e_velocity", "e_temperature", "ratio_velocity",
-                 "ratio_temperature"], rows)
+    _write_report(cfg, "cauchy", ["pair", "e_velocity", "e_temperature",
+                                  "ratio_velocity", "ratio_temperature"], rows)
 
     print(f"cauchy: velocity ratios {[f'{r:.3f}' for r in report.ratios_velocity]}"
           f" temperature ratios {[f'{r:.3f}' for r in report.ratios_temperature]}")
     return _verdict("cauchy", report)
 
 
-def _cmd_contract(cfg, seed: int) -> int:
+def _cmd_contract(cfg, args) -> int:
     mesh = build_mesh(cfg)
     spaces = forms.build_spaces(mesh)
     model = build_model(cfg)
@@ -561,18 +543,15 @@ def _cmd_contract(cfg, seed: int) -> int:
     config = build_solver_config(cfg, constants)
     report = oracles.contraction_study(spaces, problem, config,
                                        delta=float(cfg["study"]["delta"]),
-                                       seed=seed)
+                                       seed=args.seed)
 
-    outdir = cfg["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
     rows = []
     for i, t in enumerate(report.times):
         rows.append([t, report.distance[i], report.gronwall_bound[i],
                      report.growth[i - 1] if i else None,
                      report.re_plus_ra[i - 1] if i else None])
-    _write_rows(os.path.join(outdir, "report_contract.csv"),
-                f"# {report.header}\n"
-                "t,distance,gronwall_bound,growth,re_plus_ra", rows)
+    _write_report(cfg, "contract", f"# {report.header}\n"
+                  "t,distance,gronwall_bound,growth,re_plus_ra", rows)
 
     print(f"contract: D(0)={report.distance[0]:.6e} "
           f"D(end)={report.distance[-1]:.6e} monotone={report.monotone} "
@@ -580,15 +559,15 @@ def _cmd_contract(cfg, seed: int) -> int:
     return _verdict("contract", report)
 
 
-def _cmd_check_forms(cfg, seed: int, trials: int) -> int:
+def _cmd_check_forms(cfg, args) -> int:
+    trials = args.trials
+    if trials < 0:
+        raise ConfigError("--trials: must be >= 0")
     spaces = forms.build_spaces(build_mesh(cfg))
-    report = oracles.check_forms(spaces, trials=trials, seed=seed)
+    report = oracles.check_forms(spaces, trials=trials, seed=args.seed)
 
-    outdir = cfg["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
-    rows = [[c.name, c.worst, c.tol, c.passed] for c in report.checks]
-    _write_rows(os.path.join(outdir, "report_check-forms.csv"),
-                ["name", "worst", "tol", "passed"], rows)
+    _write_report(cfg, "check-forms", ["name", "worst", "tol", "passed"],
+                  [[c.name, c.worst, c.tol, c.passed] for c in report.checks])
 
     for c in report.checks:
         print(f"check-forms: {c.name}: worst={c.worst:.3e} "
@@ -601,15 +580,12 @@ def _cmd_check_forms(cfg, seed: int, trials: int) -> int:
     return 0
 
 
-def _cmd_estimate_constants(cfg, seed: int) -> int:
+def _cmd_estimate_constants(cfg, args) -> int:
     spaces = forms.build_spaces(build_mesh(cfg))
     constants = solver.estimate_constants(spaces)
-    outdir = cfg["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
-    _write_constants(outdir, constants, "estimated")
-    _write_rows(os.path.join(outdir, "report_estimate-constants.csv"),
-                ["c1", "c1_prime", "d"],
-                [[constants["c1"], constants["c1_prime"], constants["d"]]])
+    _write_report(cfg, "estimate-constants", list(constants),
+                  [list(constants.values())])
+    _write_constants(cfg["output"]["directory"], constants, "estimated")
     print(f"estimate-constants: c1={constants['c1']:.6g} "
           f"c1_prime={constants['c1_prime']:.6g} d={constants['d']:.6g}")
     return 0
@@ -624,17 +600,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"ERROR: config: {message}\n")
 
 
+# each subcommand: its driver, and whether it needs --config
+_COMMANDS = {
+    "run": (_cmd_run, True),
+    "mms": (_cmd_mms, True),
+    "cauchy": (_cmd_cauchy, True),
+    "contract": (_cmd_contract, True),
+    "check-forms": (_cmd_check_forms, False),
+    "estimate-constants": (_cmd_estimate_constants, True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bgs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, need_config in (("run", True), ("mms", True), ("cauchy", True),
-                              ("contract", True), ("check-forms", False),
-                              ("estimate-constants", True)):
+    for name, (_, need_config) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=need_config,
                        help="path to a JSON configuration file")
         p.add_argument("--seed", type=int, default=42,
-                       help="seed for oracle randomness")
+                       help="seed for oracle randomness (read by contract "
+                       "and check-forms)")
         if name == "check-forms":
             p.add_argument("--trials", type=int, default=100)
     return parser
@@ -645,21 +631,7 @@ def dispatch(args) -> int:
            else load_config(args.config))
     if args.seed < 0:
         raise ConfigError("--seed: must be a non-negative integer")
-
-    if args.command == "run":
-        return _cmd_run(cfg, args.seed)
-    if args.command == "mms":
-        return _cmd_mms(cfg, args.seed)
-    if args.command == "cauchy":
-        return _cmd_cauchy(cfg, args.seed)
-    if args.command == "contract":
-        return _cmd_contract(cfg, args.seed)
-    if args.command == "check-forms":
-        trials = args.trials
-        if trials < 0:
-            raise ConfigError("--trials: must be >= 0")
-        return _cmd_check_forms(cfg, args.seed, trials)
-    return _cmd_estimate_constants(cfg, args.seed)
+    return _COMMANDS[args.command][0](cfg, args)
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("constant", "clamped_affine", "tanh_blend")
-
 
 @dataclass(frozen=True)
 class ScalarLaw:
@@ -87,6 +85,14 @@ def tanh_blend_law(lo: float, hi: float) -> ScalarLaw:
     # derivative (hi-lo)/2 * sech^2(w), maximal at w = 0
     return ScalarLaw("tanh_blend", float(lo), float(hi),
                      0.5 * (float(hi) - float(lo)))
+
+
+# each law kind: its factory and the factory's parameter names in call order
+LAWS = {
+    "constant": (constant_law, ("value",)),
+    "clamped_affine": (clamped_affine_law, ("intercept", "slope", "lo", "hi")),
+    "tanh_blend": (tanh_blend_law, ("lo", "hi")),
+}
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,14 @@ def test_unknown_constant_is_reported_with_every_other_violation(tmp_path,
 
 @pytest.mark.parametrize("output, path", [
     ({"directory": "taken"}, "taken"),
-    ({"csv_name": "no/such/dir.csv"}, "no/such/dir.csv")])
+    ({"csv_name": "no/such/dir.csv"}, "no/such/dir.csv"),
+    ({"directory": "made", "csv_name": "sub"}, "made/sub")])
 def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys,
                                                   monkeypatch, output, path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("a file, not a directory")
+    # an existing directory where the CSV should go
+    (tmp_path / "made" / "sub").mkdir(parents=True)
     cfg = tmp_path / "cfg.json"
     write_config(cfg, output=output)
     assert cli.main(["run", "--config", str(cfg)]) == 2
@@ -94,8 +97,8 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys,
     assert err.startswith("ERROR: config: cannot write output: ")
     assert len(err.splitlines()) == 1 and path in err
     # nothing is left behind: no output directory, no constants.json
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
-    assert not list(tmp_path.rglob("constants.json"))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "cfg.json", "made", "sub", "taken"]
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -100,6 +100,16 @@ CASES = [
     ("constants_unknown_key",
      _with(_CAVITY, solver={"constants": {"c1": 1.0, "bogus": 1}}),
      "solver.constants.bogus"),
+    # null is a value, not an absent key
+    ("gamma1_sides_null",
+     _with(_CAVITY, mesh={"nx": 2, "ny": 2, "gamma1_sides": None}),
+     "mesh.gamma1_sides"),
+    ("gravity_null", _with(_CAVITY, physics={"gravity": None}),
+     "physics.gravity"),
+    ("buoyancy_sign_flag_null",
+     _with(_CAVITY, physics={"buoyancy_sign_flag": None}),
+     "physics.buoyancy_sign_flag"),
+    ("problem_null", {"data": {"problem": None}}, "data.problem"),
 ]
 
 
