@@ -183,7 +183,7 @@ def validate_config(raw) -> dict:
                      'must be "constant_down" or a finite 2-vector')
         flag = phys.get("buoyancy_sign_flag",
                         cfg["physics"]["buoyancy_sign_flag"])
-        if flag not in (1, -1):
+        if not _is_number(flag) or flag not in (1, -1):
             chk.fail("physics.buoyancy_sign_flag", f"must be 1 or -1, got {flag!r}")
 
     data = raw.get("data", {})

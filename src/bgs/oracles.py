@@ -12,7 +12,10 @@ clamped law uses its one-sided slope at the clip points.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
+import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -239,25 +242,103 @@ class RefinementRuns:
     config: SolverConfig         # dt and t_end of every level
 
 
+def _lanes(levels: int) -> int:
+    """How many levels run at once: one per CPU this process may use, and
+    1 where processes cannot be forked."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(levels, len(os.sched_getaffinity(0)))
+
+
+def _run_in_child(sender, spaces: FunctionSpaces, problem: ProblemData,
+                  config: SolverConfig) -> None:
+    """Send (states, run seconds, warnings issued) or the exception raised."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            tic = time.perf_counter()
+            states, _ = run(spaces, problem, config)
+            result = (states, time.perf_counter() - tic,
+                      [(w.message, w.category, w.filename, w.lineno)
+                       for w in caught])
+    except Exception as exc:
+        result = exc
+    sender.send(result)
+    sender.close()
+
+
+def _receive(proc, receiver):
+    """The child's (states, run seconds), read before the child is joined;
+    its exception is raised here and its warnings issued again."""
+    with receiver:
+        try:
+            result = receiver.recv()
+        except EOFError:
+            result = None
+    proc.join()
+    if result is None:
+        raise RuntimeError(f"child process exited with code {proc.exitcode} "
+                           "before sending its trajectory")
+    if isinstance(result, Exception):
+        raise result
+    states, seconds, caught = result
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    return states, seconds
+
+
 def refinement_runs(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
                     t_end: float = 0.1, base_n: int = 4,
                     gamma1_sides=("left",)) -> RefinementRuns:
-    """Integrate problem on the nested n = base_n * 2**k meshes, k < levels."""
+    """Integrate problem on the nested n = base_n * 2**k meshes, k < levels.
+
+    The finest lanes - 1 levels (`_lanes`) run in forked children while
+    this process integrates the others; a child runs the same code on the
+    same inherited data, so every state is the serial run's.  A failure is
+    raised with its level, the lowest failing level first, and no child
+    outlives the call.
+    """
     if levels < 3:
         raise ValueError("refinement study needs at least 3 levels")
     config = SolverConfig(dt=dt, t_end=t_end)
-    results = []
-    for k in range(levels):
-        n = base_n * 2 ** k
-        tic = time.perf_counter()
-        spaces = forms.build_spaces(
-            build_rectangle_mesh(n, n, gamma1_sides=gamma1_sides))
-        try:
-            states, _ = run(spaces, problem, config)
-        except Exception as exc:
-            raise type(exc)(f"level {k} (n={n}): {exc}") from exc
-        results.append(LevelRun(n=n, spaces=spaces, states=tuple(states),
-                                wall_clock=time.perf_counter() - tic))
+    local = levels - _lanes(levels) + 1       # levels run in this process
+    # fork, not spawn: the problem's closures are inherited, never pickled
+    context = multiprocessing.get_context("fork") if local < levels else None
+    spaces, build_s, children = {}, {}, {}
+    try:
+        # finest first, so the longest trajectories start soonest
+        for k in reversed(range(levels)):
+            n = base_n * 2 ** k
+            tic = time.perf_counter()
+            spaces[k] = forms.build_spaces(
+                build_rectangle_mesh(n, n, gamma1_sides=gamma1_sides))
+            build_s[k] = time.perf_counter() - tic
+            if k >= local:
+                receiver, sender = context.Pipe(duplex=False)
+                proc = context.Process(target=_run_in_child,
+                                       args=(sender, spaces[k], problem, config))
+                proc.start()
+                sender.close()
+                children[k] = (proc, receiver)
+        results = []
+        for k in range(levels):
+            n = base_n * 2 ** k
+            try:
+                if k in children:
+                    states, seconds = _receive(*children.pop(k))
+                else:
+                    tic = time.perf_counter()
+                    states, _ = run(spaces[k], problem, config)
+                    seconds = time.perf_counter() - tic
+            except Exception as exc:
+                raise type(exc)(f"level {k} (n={n}): {exc}") from exc
+            results.append(LevelRun(n=n, spaces=spaces[k], states=tuple(states),
+                                    wall_clock=build_s[k] + seconds))
+    finally:
+        for proc, receiver in children.values():
+            proc.terminate()
+            proc.join()
+            receiver.close()
     return RefinementRuns(levels=tuple(results), config=config)
 
 

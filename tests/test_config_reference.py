@@ -5,8 +5,10 @@ of every law kind, to values of each JSON type and to the edges of the
 number rule; it adds a dt x t_end grid and numeric, unknown and
 "estimate" constants against tiny law bounds.  The two validators must
 report the same messages in the same order and merge the same config.
-The one intended difference: the old validator took a JSON null for four
-keys as absent, and the new one checks it like any other value.
+There are two intended differences: the old validator took a JSON null
+for four keys as absent, and the new one checks it like any other value;
+the old one took a JSON true for `physics.buoyancy_sign_flag` as 1, and
+the new one rejects a bool there as every other numeric field does.
 """
 
 import helpers_config as ref
@@ -36,6 +38,10 @@ NULL_FIXES = {
         "data.problem: must be one of ('zero', 'mms', 'cavity_convection'), "
         "got None",
 }
+
+# the bool the old validator merged as a sign, with the message now given
+BOOL_FIX = ({"physics": {"buoyancy_sign_flag": True}},
+            "physics.buoyancy_sign_flag: must be 1 or -1, got True")
 
 
 def _corpus():
@@ -110,10 +116,18 @@ def test_corpus_is_large_and_covers_both_outcomes():
 
 
 def test_validator_matches_the_reference_on_the_corpus():
-    nulls = []
+    nulls, bools = [], []
     for raw in CORPUS:
         got = _outcome(cli.validate_config, raw)
         want = _outcome(ref.validate_config, raw)
+        # True == 1, so the flag is compared by identity too
+        if (raw == BOOL_FIX[0]
+                and raw["physics"]["buoyancy_sign_flag"] is True):
+            bools.append(raw)
+            assert want[0] == "ok"
+            assert want[1]["physics"]["buoyancy_sign_flag"] is True
+            assert got == ("rejected", [BOOL_FIX[1]])
+            continue
         if (fix := _null_fix(raw)) is not None:
             nulls.append(fix)
             assert want[0] == "ok"
@@ -121,4 +135,10 @@ def test_validator_matches_the_reference_on_the_corpus():
             continue
         assert got == want, raw
     assert sorted(nulls) == sorted(NULL_FIXES)
+    assert bools == [BOOL_FIX[0]]
+
+
+def test_sign_flag_one_as_a_float_still_passes():
+    cfg = cli.validate_config({"physics": {"buoyancy_sign_flag": 1.0}})
+    assert cfg["physics"]["buoyancy_sign_flag"] == 1.0
 

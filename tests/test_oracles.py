@@ -2,6 +2,9 @@
 
 import dataclasses
 import functools
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import sympy as sym
 from bgs import build_rectangle_mesh, build_spaces
 from bgs.coefficients import CoefficientModel, constant_model, tanh_blend_law
 from bgs import forms, oracles
-from bgs.solver import ProblemData, SolverConfig
+from bgs.solver import ProblemData, SolverConfig, run
 
 from helpers_stencil import fd_axis, nested_forcings, nested_v2, rot_z
 
@@ -482,17 +485,111 @@ def test_reports_of_shared_runs_equal_the_studies(small_runs):
                                     **SMALL_STUDY))
 
 
-def test_refinement_runs_prefix_failures_with_level(spaces_4x4):
-    problem = _small_problem()
-    n4_points = spaces_4x4.quad_x.shape
+def _quad_shape(n):
+    return build_spaces(build_rectangle_mesh(n, n, ("left",))).quad_x.shape
+
+
+def _forcing_hook(problem, ns, hook):
+    """problem with f1's values passed through hook on the quadrature
+    points of the n x n meshes, n in ns."""
+    shapes = {_quad_shape(n) for n in ns}
 
     def f1(points, t):
         out = problem.f1(points, t)
-        return out * np.nan if points.shape == n4_points else out
+        return hook(out) if points.shape in shapes else out
+    return dataclasses.replace(problem, f1=f1)
 
-    bad = dataclasses.replace(problem, f1=f1)
-    with pytest.raises(ValueError, match=r"^level 1 \(n=4\): non-finite"):
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _tanh_problem():
+    model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
+    return oracles.make_mms_problem(model, beta=0.5)
+
+
+@pytest.fixture(scope="module")
+def direct_small_runs():
+    """solver.run on freshly built meshes of the SMALL_STUDY levels."""
+    config = SolverConfig(dt=SMALL_STUDY["dt"], t_end=SMALL_STUDY["t_end"])
+    return [run(build_spaces(build_rectangle_mesh(n, n, ("left",))),
+                _tanh_problem(), config)[0] for n in (2, 4, 8)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_refinement_runs_are_the_serial_runs_on_any_lane_count(
+        monkeypatch, direct_small_runs, cpus):
+    _cpus(monkeypatch, cpus)
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda proc: (started.append(proc), start(proc)))
+    runs = oracles.refinement_runs(_tanh_problem(), **SMALL_STUDY)
+    assert len(started) == cpus - 1
+    assert multiprocessing.active_children() == []
+    for lv, direct in zip(runs.levels, direct_small_runs):
+        assert lv.wall_clock > 0
+        assert len(lv.states) == len(direct) == 3
+        for got, want in zip(lv.states, direct):
+            assert got.t == want.t
+            for name in ("z", "w", "P"):
+                assert (getattr(got, name).values.tobytes()
+                        == getattr(want, name).values.tobytes())
+
+
+def test_refinement_runs_prefix_failures_with_level(monkeypatch):
+    # (failing n, CPUs, level reported): with 2 CPUs n=8 runs in a child,
+    # with 3 both n=4 and n=8 do
+    cases = [((4,), 1, r"level 1 \(n=4\)"), ((4,), 2, r"level 1 \(n=4\)"),
+             ((8,), 2, r"level 2 \(n=8\)"), ((4, 8), 2, r"level 1 \(n=4\)"),
+             ((4, 8), 3, r"level 1 \(n=4\)")]
+    for failing, cpus, level in cases:
+        _cpus(monkeypatch, cpus)
+        bad = _forcing_hook(_small_problem(), failing, lambda out: out * np.nan)
+        with pytest.raises(ValueError, match=f"^{level}: non-finite"):
+            oracles.refinement_runs(bad, **SMALL_STUDY)
+        assert multiprocessing.active_children() == []
+
+
+def test_refinement_runs_report_a_child_that_dies(monkeypatch):
+    parent = os.getpid()
+
+    def die(out):
+        if os.getpid() != parent:
+            os._exit(3)
+        return out
+
+    _cpus(monkeypatch, 2)
+    bad = _forcing_hook(_small_problem(), (8,), die)
+    with pytest.raises(RuntimeError, match=r"^level 2 \(n=8\): child process "
+                                           r"exited with code 3"):
         oracles.refinement_runs(bad, **SMALL_STUDY)
+    assert multiprocessing.active_children() == []
+
+
+def test_refinement_runs_stop_children_on_interrupt(monkeypatch):
+    def interrupt(out):
+        raise KeyboardInterrupt
+
+    _cpus(monkeypatch, 3)
+    bad = _forcing_hook(_small_problem(), (2,), interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        oracles.refinement_runs(bad, **SMALL_STUDY)
+    assert multiprocessing.active_children() == []
+
+
+def test_refinement_runs_pass_on_a_childs_warnings(monkeypatch):
+    def warn(out):
+        warnings.warn("forcing evaluated on n=8", UserWarning)
+        return out
+
+    _cpus(monkeypatch, 2)
+    hooked = _forcing_hook(_small_problem(), (8,), warn)
+    with pytest.warns(UserWarning, match="on n=8") as caught:
+        oracles.refinement_runs(hooked, **SMALL_STUDY)
+    assert caught[0].filename == __file__
 
 
 def test_contraction_zero_forcing_contracts(spaces_4x4):
