@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
+import sys
 import time
+import traceback
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -253,7 +256,8 @@ def _lanes(levels: int) -> int:
 
 def _run_in_child(sender, spaces: FunctionSpaces, problem: ProblemData,
                   config: SolverConfig) -> None:
-    """Send (states, run seconds, warnings issued) or the exception raised."""
+    """Send (states, run seconds, warnings issued), or (exception, its
+    traceback text) if the run raised."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             tic = time.perf_counter()
@@ -262,28 +266,52 @@ def _run_in_child(sender, spaces: FunctionSpaces, problem: ProblemData,
                       [(w.message, w.category, w.filename, w.lineno)
                        for w in caught])
     except Exception as exc:
-        result = exc
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:    # it would not cross the pipe: keep type and text
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        result = (exc, traceback.format_exc())
     sender.send(result)
     sender.close()
 
 
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a child, as its cause."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Issue a child's warning as if raised at its place here: under its
+    module's name and once-per-location registry."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=module.__name__,
+            registry=vars(module).setdefault("__warningregistry__", {}))
+
+
 def _receive(proc, receiver):
     """The child's (states, run seconds), read before the child is joined;
-    its exception is raised here and its warnings issued again."""
-    with receiver:
-        try:
-            result = receiver.recv()
-        except EOFError:
-            result = None
-    proc.join()
-    if result is None:
+    its exception is raised here and its warnings issued again.  The
+    caller still owns the child: it terminates and joins it on any exit."""
+    try:
+        result = receiver.recv()
+    except EOFError:
+        proc.join()
         raise RuntimeError(f"child process exited with code {proc.exitcode} "
-                           "before sending its trajectory")
-    if isinstance(result, Exception):
-        raise result
+                           "before sending its trajectory") from None
+    proc.join()
+    if isinstance(result[0], Exception):
+        exc, child_traceback = result
+        raise exc from _ChildTraceback(child_traceback)
     states, seconds, caught = result
     for message, category, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno)
+        _warn_again(message, category, filename, lineno)
     return states, seconds
 
 
@@ -325,7 +353,7 @@ def refinement_runs(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
             n = base_n * 2 ** k
             try:
                 if k in children:
-                    states, seconds = _receive(*children.pop(k))
+                    states, seconds = _receive(*children[k])
                 else:
                     tic = time.perf_counter()
                     states, _ = run(spaces[k], problem, config)

@@ -3,7 +3,9 @@
 import dataclasses
 import functools
 import multiprocessing
+import multiprocessing.connection
 import os
+import time
 import warnings
 
 import numpy as np
@@ -580,6 +582,61 @@ def test_refinement_runs_stop_children_on_interrupt(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_refinement_runs_stop_children_on_interrupt_while_waiting(
+        monkeypatch):
+    parent = os.getpid()
+
+    def stall(out):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return out
+
+    def interrupt(connection):
+        raise KeyboardInterrupt
+
+    # the n=8 child stalls; the interrupt reaches the caller as it waits
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                        interrupt)
+    slow = _forcing_hook(_small_problem(), (8,), stall)
+    tic = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        oracles.refinement_runs(slow, **SMALL_STUDY)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - tic < 20
+
+
+def test_refinement_runs_carry_a_childs_traceback(monkeypatch):
+    def fail_here(out):
+        raise ZeroDivisionError("forcing failed")
+
+    _cpus(monkeypatch, 2)
+    bad = _forcing_hook(_small_problem(), (8,), fail_here)
+    with pytest.raises(ZeroDivisionError,
+                       match=r"^level 2 \(n=8\): forcing failed") as info:
+        oracles.refinement_runs(bad, **SMALL_STUDY)
+    remote = str(info.value.__cause__.__cause__)
+    assert "in fail_here" in remote and "in run" in remote
+
+
+class _Unpicklable(ValueError):
+    def __init__(self, message, handle):
+        super().__init__(message)
+        self.handle = handle
+
+
+def test_refinement_runs_report_an_unpicklable_failure(monkeypatch):
+    def fail(out):
+        raise _Unpicklable("no pickle", lambda: None)
+
+    _cpus(monkeypatch, 2)
+    bad = _forcing_hook(_small_problem(), (8,), fail)
+    with pytest.raises(RuntimeError, match=r"^level 2 \(n=8\): _Unpicklable: "
+                                           r"no pickle"):
+        oracles.refinement_runs(bad, **SMALL_STUDY)
+    assert multiprocessing.active_children() == []
+
+
 def test_refinement_runs_pass_on_a_childs_warnings(monkeypatch):
     def warn(out):
         warnings.warn("forcing evaluated on n=8", UserWarning)
@@ -590,6 +647,13 @@ def test_refinement_runs_pass_on_a_childs_warnings(monkeypatch):
     with pytest.warns(UserWarning, match="on n=8") as caught:
         oracles.refinement_runs(hooked, **SMALL_STUDY)
     assert caught[0].filename == __file__
+    # a module filter applies to the child's warning as to a serial run's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("error", module=__name__)
+        with pytest.raises(UserWarning, match="on n=8"):
+            oracles.refinement_runs(hooked, **SMALL_STUDY)
+    assert multiprocessing.active_children() == []
 
 
 def test_contraction_zero_forcing_contracts(spaces_4x4):
