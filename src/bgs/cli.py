@@ -600,27 +600,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"ERROR: config: {message}\n")
 
 
-# each subcommand: its driver, and whether it needs --config
+# each subcommand: its driver, whether it needs --config, and whether it
+# draws random samples, and so takes --seed
 _COMMANDS = {
-    "run": (_cmd_run, True),
-    "mms": (_cmd_mms, True),
-    "cauchy": (_cmd_cauchy, True),
-    "contract": (_cmd_contract, True),
-    "check-forms": (_cmd_check_forms, False),
-    "estimate-constants": (_cmd_estimate_constants, True),
+    "run": (_cmd_run, True, False),
+    "mms": (_cmd_mms, True, False),
+    "cauchy": (_cmd_cauchy, True, False),
+    "contract": (_cmd_contract, True, True),
+    "check-forms": (_cmd_check_forms, False, True),
+    "estimate-constants": (_cmd_estimate_constants, True, False),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bgs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, need_config) in _COMMANDS.items():
+    for name, (_, need_config, seeded) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=need_config,
                        help="path to a JSON configuration file")
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for oracle randomness (read by contract "
-                       "and check-forms)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=42,
+                           help="seed for oracle randomness")
         if name == "check-forms":
             p.add_argument("--trials", type=int, default=100)
     return parser
@@ -629,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(args) -> int:
     cfg = (_default_config() if args.config is None
            else load_config(args.config))
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise ConfigError("--seed: must be a non-negative integer")
     return _COMMANDS[args.command][0](cfg, args)
 

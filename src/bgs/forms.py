@@ -659,9 +659,10 @@ class Layout:
     """Where each block entry of a linear system lands in its constrained CSC.
 
     Blocks are operator patterns placed at a row and column offset,
-    optionally transposed.  ``system`` builds the matrix that
-    ``(dm @ A @ dm + diag(fixed)).tocsc()`` gave for the block matrix A and
-    the 0/1 free-dof mask dm, bit for bit:
+    optionally transposed.  ``system`` returns the (data, indices, indptr)
+    of the CSC matrix that ``(dm @ A @ dm + diag(fixed)).tocsc()`` gave for
+    the block matrix A and the 0/1 free-dof mask dm, bit for bit, and no
+    scipy matrix, whose constructor would check the kept structure again:
 
     - an entry in a fixed row or column is dropped, and each fixed dof
       gets 1.0 on its diagonal;
@@ -707,7 +708,6 @@ class Layout:
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
         self.mask = np.ones(n)
         self.mask[fixed] = 0.0
-        self.shape = (n, n)
         for arr in (self.droppable, self.src, self.indices, self.indptr,
                     self.mask):
             arr.setflags(write=False)
@@ -715,15 +715,14 @@ class Layout:
         # indptr) of the structure last built
         self.structure = None
 
-    def system(self, *block_data: np.ndarray) -> sp.csc_matrix:
+    def system(self, *block_data: np.ndarray) -> tuple:
         data = np.concatenate(block_data + (np.ones(1),))
         zeros = np.flatnonzero(self.droppable & (data == 0))
         if self.structure is None or not np.array_equal(zeros,
                                                         self.structure[0]):
             self.structure = self._structure(data, zeros)
         _, kept_src, indices, indptr = self.structure
-        return sp.csc_matrix((data[kept_src], indices, indptr),
-                             shape=self.shape)
+        return data[kept_src], indices, indptr
 
     def _structure(self, data: np.ndarray, zeros: np.ndarray) -> tuple:
         """The CSC structure of the entries of data that are not exact

@@ -456,7 +456,6 @@ class CauchyReport:
     e_temperature: tuple
     ratios_velocity: tuple
     ratios_temperature: tuple
-    dual_path_gap: float | None
     failures: tuple
 
     @property
@@ -483,17 +482,14 @@ def _trapezoid_sq(values, dt: float) -> float:
     return float(np.sqrt(np.sum(weights * np.asarray(values) ** 2)))
 
 
-def cauchy_report(runs: RefinementRuns, dual_path: bool = False) -> CauchyReport:
+def cauchy_report(runs: RefinementRuns) -> CauchyReport:
     """Time-integrated L2 distance between consecutive refinement levels."""
     e_vel, e_tmp, pairs = [], [], []
-    worst_gap = 0.0
     for lc, lf in zip(runs.levels, runs.levels[1:]):
         coarse, fine = lc.spaces, lf.spaces
         # locate each fine point set in the coarse mesh once per pair
         at_nodes = forms.PointEvaluator(coarse, fine.node_coords)
         at_vertices = forms.PointEvaluator(coarse, fine.mesh.vertices)
-        if dual_path:
-            at_quad = forms.PointEvaluator(coarse, fine.quad_x.reshape(-1, 2))
         dz, dw = [], []
         for sc, sf in zip(lc.states, lf.states):
             z_up, w_up = _interp_up(at_nodes, at_vertices, sc)
@@ -501,9 +497,6 @@ def cauchy_report(runs: RefinementRuns, dual_path: bool = False) -> CauchyReport
             dw_vec = FieldVector("temperature", sf.w.values - w_up.values)
             dz.append(forms.l2_norm_sq(fine, dz_vec) ** 0.5)
             dw.append(forms.l2_norm_sq(fine, dw_vec) ** 0.5)
-            if dual_path:
-                gap = _dual_path_gap(at_quad, fine, sc, sf, dz[-1], dw[-1])
-                worst_gap = max(worst_gap, gap)
         e_vel.append(_trapezoid_sq(dz, runs.config.dt))
         e_tmp.append(_trapezoid_sq(dw, runs.config.dt))
         pairs.append((coarse.mesh.num_vertices, fine.mesh.num_vertices))
@@ -526,30 +519,15 @@ def cauchy_report(runs: RefinementRuns, dual_path: bool = False) -> CauchyReport
                         e_temperature=tuple(e_tmp),
                         ratios_velocity=tuple(ratios_v),
                         ratios_temperature=tuple(ratios_t),
-                        dual_path_gap=worst_gap if dual_path else None,
                         failures=tuple(failures))
 
 
 def cauchy_study(problem: ProblemData, levels: int = 3, dt: float = 1e-3,
                  t_end: float = 0.1, base_n: int = 4,
-                 gamma1_sides=("left",), dual_path: bool = False) -> CauchyReport:
+                 gamma1_sides=("left",)) -> CauchyReport:
     """Time-integrated L2 distance between consecutive refinement levels."""
     return cauchy_report(refinement_runs(problem, levels, dt, t_end, base_n,
-                                         gamma1_sides), dual_path=dual_path)
-
-
-def _dual_path_gap(at_quad, fine, state_c, state_f, dz_ref, dw_ref) -> float:
-    """Relative disagreement of the difference norm computed on fine
-    quadrature; at_quad evaluates coarse fields at the fine points."""
-    zc = at_quad.velocity(state_c.z).reshape(fine.quad_x.shape)
-    zf = forms.velocity_at_quadrature(fine, state_f.z)
-    dz = float(np.sum(fine.quad_w * ((zf - zc) ** 2).sum(axis=-1))) ** 0.5
-    wc = at_quad.scalar(state_c.w).reshape(fine.quad_w.shape)
-    wf = forms.scalar_at_quadrature(fine, state_f.w)
-    dw = float(np.sum(fine.quad_w * (wf - wc) ** 2)) ** 0.5
-    gap_z = abs(dz - dz_ref) / max(dz_ref, 1e-30)
-    gap_w = abs(dw - dw_ref) / max(dw_ref, 1e-30)
-    return max(gap_z, gap_w)
+                                         gamma1_sides))
 
 
 # ---------------------------------------------------------------------------

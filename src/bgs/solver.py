@@ -2,37 +2,49 @@
 
 Each step solves the heat equation first (conductivity and transport
 frozen at the previous iterate), then the velocity/head saddle problem
-with the fresh temperature driving buoyancy and viscosity.  An optional
-Picard loop repeats both stages at the latest iterates, converging to
-the fully implicit scheme.  Skew advection plus SPD implicit diffusion
-make the unforced energies non-increasing at every pass, so the loop
-never needs damping at desk scale.
+with the fresh temperature driving buoyancy and viscosity.  A Picard loop
+repeats both stages at the latest iterates, converging to the fully
+implicit scheme.  Skew advection plus SPD implicit diffusion make the
+unforced energies non-increasing at every pass, so the loop never needs
+damping at desk scale.
+
+The loop stops on the nonlinear residual of the iterate it already has
+(Kelley, SIAM 1995, ch. 4-5).  Each pass after the first starts by
+building, at the current iterate, what its solves need anyway: the
+temperature system and the velocity advection.  With the viscosity data
+kept from the pass that made the iterate, they give its residual in both
+equations of the fully implicit step, by one matvec per system.  The step
+returns the iterate once the larger of the two, each relative to its
+system's masked right side, is at most picard_tol, and otherwise solves
+with those kernels; picard_iters counts the passes that solved.  A loop
+that reaches picard_max without meeting picard_tol returns its last
+iterate with a warning; one pass (picard_max 1) is the linearly implicit
+scheme, returned unchecked.
 
 Both linear systems keep one factor for a whole run.  Each is factored on
 the first pass of a run; every later pass, in the same step or a later
 one, solves it by GMRES right-preconditioned with that factor and started
 from the previous solution of the same system, and refactors only when
 GMRES misses its true-residual stop.  That stop is inexact: 1e-4 times
-the residual of the start, or 1e-12 relative if that is larger, because
-the next pass moves the solution by far more than such an error (Dembo,
-Eisenstat & Steihaug, SINUM 19, 1982).  The pass a step returns meets
-1e-12 in both systems: a last solve that stopped above it is polished by
-GMRES with the strict stop.  Every tolerance test takes its norms in
-units of the right side's largest entry, so no finite residual overflows,
-and a non-finite norm is a miss.  SuperLU factors the saddle
-system with threshold pivoting (a diagonal pivot stays unless it is 1000x
-smaller than its column's largest entry), which keeps COLAMD's
-fill-reducing order and cuts the L+U fill by about 30%; the temperature
-system keeps SuperLU's default.  A fresh factor's direct solve that
-misses 1e-12 is polished by GMRES with that factor.
+the residual of the start, or 1e-12 relative if that is larger (Dembo,
+Eisenstat & Steihaug, SINUM 19, 1982).  No solve is polished further:
+the nonlinear residual that stops a step includes the error its last
+solves left.  Every tolerance test takes its norms in units of the right
+side's largest entry, so no finite residual overflows, and a non-finite
+norm is a miss.  SuperLU factors the saddle system with threshold
+pivoting (a diagonal pivot stays unless it is 1000x smaller than its
+column's largest entry), which keeps COLAMD's fill-reducing order and
+cuts the L+U fill by about 30%; the temperature system keeps SuperLU's
+default.
 
 A Picard pass builds one matrix per system and no other.  It adds the
 data arrays of its operators on their fixed patterns (the data kernels of
-`bgs.forms`), the system's layout places them into CSC through a
+`bgs.forms`), the system's layout places them into CSC arrays through a
 structure it keeps until the set of exact zeros changes, and GMRES and
-the residual checks multiply by scipy's CSC kernel directly.  The layouts,
-mass matrices and D depend only on the mesh and live on `FunctionSpaces`;
-a run builds only the buoyancy matrix and its two factors.
+the residual checks multiply by scipy's sparse kernels directly; a scipy
+matrix is built only to be factored.  The layouts, mass matrices and D
+depend only on the mesh and live on `FunctionSpaces`; a run builds only
+the buoyancy matrix and its two factors.
 
 A run is the generator `steps`: it holds the operators, both factors and
 the state before the current one, and yields each new state with its
@@ -41,8 +53,9 @@ step on, `steps` hands each step the state before its start, and the step
 starts its Picard loop from the linear extrapolation 2 x_n - x_(n-1) of
 velocity and temperature, which is O(dt^2) from the new fixed point where
 the previous state is O(dt) (the extrapolated linearization of Baker,
-Dougalis & Karakashian, Math. Comp. 39, 1982).  The loop converges to the
-same fixed point; only pass counts and rounding change.
+Dougalis & Karakashian, Math. Comp. 39, 1982).  Both starts lead to the
+same fixed point; the pass counts change, and where within picard_tol of
+it the loop stops.
 """
 
 from __future__ import annotations
@@ -200,8 +213,8 @@ def initialize_state(spaces: FunctionSpaces, problem: ProblemData) -> State:
 # solve stops at the larger of _KRYLOV_ETA times the residual of its start,
 # the previous solution, and _KRYLOV_RTOL times |rhs|: an error that small
 # is far below the change the next pass makes (the inexact Newton forcing
-# term of Dembo, Eisenstat & Steihaug, SINUM 19, 1982).  The pass a step
-# returns is brought to _KRYLOV_RTOL (`_LaggedFactor.polish`).
+# term of Dembo, Eisenstat & Steihaug, SINUM 19, 1982), and whatever error
+# the last solves leave is part of the nonlinear residual that stops a step.
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_ETA = 1e-4
 _KRYLOV_RESTART = 15
@@ -225,40 +238,33 @@ def _norm_in_units(v: np.ndarray, e: int) -> float:
         return float(np.linalg.norm(np.ldexp(v, -e)))
 
 
-def _matvec(system: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
-    """system @ x: the kernel scipy's `@` calls for a CSC matrix, into the
-    zeroed buffer it allocates, without the dispatch around it."""
-    out = np.zeros(system.shape[0])
-    _sparsetools.csc_matvec(*system.shape, system.indptr, system.indices,
-                            system.data, x, out)
+def _matvec(system: tuple, x: np.ndarray) -> np.ndarray:
+    """The square CSC matrix system = (data, indices, indptr) times x: the
+    kernel scipy's `@` calls, into the zeroed buffer it allocates, without
+    building the matrix or the dispatch around it."""
+    data, indices, indptr = system
+    n = len(indptr) - 1
+    out = np.zeros(n)
+    _sparsetools.csc_matvec(n, n, indptr, indices, data, x, out)
     return out
-
-
-def _meets_rtol(system: sp.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether |system @ x - rhs| <= _KRYLOV_RTOL |rhs|; a non-finite norm
-    on either side is a miss."""
-    e = _unit_exponent(rhs)
-    bound = _KRYLOV_RTOL * _norm_in_units(rhs, e)
-    return (math.isfinite(bound)
-            and _norm_in_units(_matvec(system, x) - rhs, e) <= bound)
 
 
 # an overflow or a NaN on the way ends in a non-finite norm, which is a miss
 @np.errstate(over="ignore", invalid="ignore")
-def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu, x0: np.ndarray,
-                  strict: bool = False) -> np.ndarray | None:
+def _krylov_solve(system: tuple, rhs: np.ndarray, lu,
+                  x0: np.ndarray) -> np.ndarray | None:
     """Restarted GMRES right-preconditioned by lu, from x0; None unless the
     true residual is below the stop.
 
-    The stop is max(_KRYLOV_RTOL |rhs|, _KRYLOV_ETA |rhs - system @ x0|),
-    or the first term alone when strict.  Each z_j = lu.solve(v_j) is kept
-    beside its Arnoldi vector v_j (the flexible form of Saad, 1993), so the
-    update x += Z y needs no further solve: a call costs one LU solve per
-    iteration.  With right preconditioning the Arnoldi residual |g_{j+1}|
-    is that of system @ x itself, and a cycle stops once it is below the
-    stop.  Norms, g and y are kept in units of 2^e, e from rhs
-    (`_unit_exponent`), so that no norm of a finite residual overflows;
-    a non-finite norm is a miss.
+    system is a CSC matrix's (data, indices, indptr), and the stop is
+    max(_KRYLOV_RTOL |rhs|, _KRYLOV_ETA |rhs - system @ x0|).  Each
+    z_j = lu.solve(v_j) is kept beside its Arnoldi vector v_j (the flexible
+    form of Saad, 1993), so the update x += Z y needs no further solve: a
+    call costs one LU solve per iteration.  With right preconditioning the
+    Arnoldi residual |g_{j+1}| is that of system @ x itself, and a cycle
+    stops once it is below the stop.  Norms, g and y are kept in units of
+    2^e, e from rhs (`_unit_exponent`), so that no norm of a finite
+    residual overflows; a non-finite norm is a miss.
     """
     e = _unit_exponent(rhs)
     rhs_norm = _norm_in_units(rhs, e)
@@ -274,7 +280,7 @@ def _krylov_solve(system: sp.csc_matrix, rhs: np.ndarray, lu, x0: np.ndarray,
         beta = _norm_in_units(r, e)
         if not math.isfinite(beta):
             return None
-        if cycle == 0 and not strict:
+        if cycle == 0:
             stop = max(stop, _KRYLOV_ETA * beta)
         if beta <= stop:
             break
@@ -344,61 +350,29 @@ class _LaggedFactor:
     Viscosity and conductivity move by O(dt) between solves, so one factor
     serves as the right preconditioner of the solves of many steps, each
     started from the last solution of the same system; it is replaced only
-    when GMRES misses its true-residual check.  factor maps a system to its
-    SuperLU factor: `_factor_saddle` by default, `_factor_temperature` for
-    the heat stage.  A fresh factor's direct solve is checked against the
-    strict tolerance and polished by GMRES with that factor when it misses,
-    which the threshold-pivoted saddle factor can need.  A lagged solve may
-    stop above the strict tolerance (`_krylov_solve`); `polish` brings the
-    last one to it.
+    when GMRES misses its true-residual check.  factor maps a system, as a
+    scipy CSC matrix, to its SuperLU factor: `_factor_saddle` by default,
+    `_factor_temperature` for the heat stage.  No solve is polished: the
+    error it leaves is part of the nonlinear residual that stops a step.
     """
 
     def __init__(self, factor=_factor_saddle):
         self.factor = factor
         self.lu = None
         self.x = None
-        self.lagged = None      # (system, rhs) of the last solve, if lagged
 
-    def solve(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        self.lagged = None
+    def solve(self, system: tuple, rhs: np.ndarray) -> np.ndarray:
+        """x with system @ x = rhs, system a CSC matrix's (data, indices,
+        indptr); a non-finite x is left to the caller."""
         if self.lu is not None:
             x = _krylov_solve(system, rhs, self.lu, self.x)
             if x is not None:
-                self.x, self.lagged = x, (system, rhs)
+                self.x = x
                 return x
             self.lu = None      # release the stale factor before refactoring
-        return self._solve_fresh(system, rhs)
-
-    def _solve_fresh(self, system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        self.lu = self.factor(system)
-        x = self.lu.solve(rhs)
-        # a non-finite x is left to the caller's DivergenceError; if GMRES
-        # misses too, the direct solution stands
-        if np.all(np.isfinite(x)) and not _meets_rtol(system, x, rhs):
-            polished = _krylov_solve(system, rhs, self.lu, x, strict=True)
-            if polished is not None:
-                x = polished
-        self.x = x
-        return x
-
-    def drop_last(self) -> None:
-        """Forget the last system: the next solve replaces it before any
-        polish, and dropping it early keeps one system alive, not two."""
-        self.lagged = None
-
-    def polish(self) -> np.ndarray:
-        """The last solution, brought to the strict tolerance if it came
-        from a lagged solve that stopped above it: by strict GMRES from it,
-        or by a fresh factor when that misses."""
-        if self.lagged is not None:
-            system, rhs = self.lagged
-            self.lagged = None
-            if not _meets_rtol(system, self.x, rhs):
-                x = _krylov_solve(system, rhs, self.lu, self.x, strict=True)
-                if x is None:
-                    self.lu = None
-                    x = self._solve_fresh(system, rhs)
-                self.x = x
+        n = len(rhs)
+        self.lu = self.factor(sp.csc_matrix(system, shape=(n, n)))
+        self.x = self.lu.solve(rhs)
         return self.x
 
 
@@ -429,13 +403,6 @@ def _checked(stage: str, solve, *args) -> np.ndarray:
     return x
 
 
-def _solve_constrained(layout: forms.Layout, block_data: tuple, rhs: np.ndarray,
-                       stage: str, lagged: _LaggedFactor) -> np.ndarray:
-    """Solve with essential dofs eliminated, through the lagged factor."""
-    system = layout.system(*block_data)
-    return _checked(stage, lagged.solve, system, rhs * layout.mask)
-
-
 # The blocks of each system are summed as data arrays on one operator
 # pattern.  The mass terms M / dt and the right sides' M x_n / dt + load
 # terms do not change between the passes of a step, so a step forms them
@@ -443,36 +410,61 @@ def _solve_constrained(layout: forms.Layout, block_data: tuple, rhs: np.ndarray,
 # M / dt computes, so the systems equal the sparse-sum form bit for bit.
 
 
-def _temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
-                      w_coeff) -> np.ndarray:
+def _temperature_system(spaces, problem, config, mass_dt, z_coeff,
+                        w_coeff) -> tuple:
+    """The constrained heat system at (z_coeff, w_coeff), the CSC arrays of
+    `forms.Layout.system`: the system the next solve needs and the one the
+    residual of the iterate (z_coeff, w_coeff) is taken in."""
     data = mass_dt + forms.temperature_diffusion_data(spaces, problem.model,
                                                       w_coeff)
     data += forms.temperature_advection_data(spaces, z_coeff)
-    return _solve_constrained(spaces.temperature_layout, (data,), rhs,
-                              "temperature", ops.temperature_factor)
+    return spaces.temperature_layout.system(data)
 
 
-def _velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
-                   lagged) -> tuple[np.ndarray, np.ndarray]:
-    k_data = mass_dt + forms.velocity_diffusion_data(
-        spaces, problem.model, FieldVector("temperature", w_new))
-    k_data += forms.velocity_advection_data(spaces, z_coeff)
+def _velocity_pass(spaces, config, ops, mass_dt, k_data, n_data,
+                   rhs) -> np.ndarray:
+    """x = (z, p) of the constrained saddle system whose velocity block is
+    M / dt + K + N, k_data and n_data the data of K and N on the velocity
+    pattern, and rhs its masked right side."""
+    block = mass_dt + k_data
+    block += n_data
     d_data = spaces.divergence.data
-    rhs = np.concatenate([
-        rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),
-        np.zeros(spaces.head_dim)])
-    x = _solve_constrained(spaces.saddle_layout, (k_data, d_data, d_data), rhs,
-                           "velocity/head", lagged)
-    return x[:spaces.velocity_dim], x[spaces.velocity_dim:]
+    system = spaces.saddle_layout.system(block, d_data, d_data)
+    return _checked("velocity/head", ops.saddle_factor.solve, system, rhs)
 
 
-def _increment(new: np.ndarray, old: np.ndarray) -> float:
-    """|new - old| / max(|new|, 1e-14), with the norms in units of max|new|;
-    inf or NaN when a norm is not finite."""
-    e = _unit_exponent(new)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        scale = max(np.linalg.norm(np.ldexp(new, -e)), np.ldexp(1e-14, -e))
-        return float(np.linalg.norm(np.ldexp(new - old, -e)) / scale)
+@np.errstate(over="ignore", invalid="ignore")
+def _saddle_product(spaces: FunctionSpaces, block_data: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """[[A, D^T], [D, 0]] x on the free rows and 0 on the fixed ones, where
+    A has block_data on the velocity pattern: the constrained saddle
+    system's product, from the fixed patterns and no system build."""
+    nv, nh = spaces.velocity_dim, spaces.head_dim
+    pattern, d = spaces.velocity_pattern, spaces.divergence
+    z, p = x[:nv], x[nv:]
+    out = np.zeros(nv + nh)
+    # scipy's kernels add onto the output; D's CSR arrays, read as CSC,
+    # are those of D^T
+    _sparsetools.csr_matvec(nv, nv, pattern.indptr, pattern.indices,
+                            block_data, z, out[:nv])
+    _sparsetools.csc_matvec(nv, nh, d.indptr, d.indices, d.data, p, out[:nv])
+    _sparsetools.csr_matvec(nh, nv, d.indptr, d.indices, d.data, z, out[nv:])
+    return out * spaces.saddle_layout.mask
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _relative_residual(product: np.ndarray, rhs: np.ndarray) -> float:
+    """|product - rhs| / |rhs|, both norms in units of rhs's largest entry
+    (`_unit_exponent`): 0.0 when the two are equal, and inf, a miss, when
+    a norm is not finite or rhs is 0 and product is not."""
+    e = _unit_exponent(rhs)
+    r_norm = _norm_in_units(product - rhs, e)
+    rhs_norm = _norm_in_units(rhs, e)
+    if r_norm == 0.0:
+        return 0.0
+    if math.isfinite(r_norm) and 0.0 < rhs_norm < math.inf:
+        return r_norm / rhs_norm
+    return math.inf
 
 
 def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
@@ -489,10 +481,12 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
     """
     ops = operators if operators is not None else build_operators(spaces, problem)
     t_new = state.t + config.dt if t_next is None else t_next
+    nv = spaces.velocity_dim
 
     load_w = forms.assemble_temperature_load(spaces, problem.f2, problem.v2, t_new)
     load_z = forms.assemble_velocity_load(spaces, problem.f1, problem.v1, t_new)
-    rhs_w = spaces.mass_temperature @ state.w.values / config.dt + load_w
+    rhs_w = ((spaces.mass_temperature @ state.w.values / config.dt + load_w)
+             * spaces.temperature_layout.mask)
     rhs_z = spaces.mass_velocity @ state.z.values / config.dt + load_z
     scale = 1.0 / config.dt
     mass_w = spaces.mass_temperature.data * scale
@@ -504,42 +498,45 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                               2.0 * state.w.values - previous.w.values)
     else:
         z_coeff, w_coeff = state.z, state.w
-    z_new = w_new = None
     passes = 0
     converged = True
     while True:
-        passes += 1
-        if passes > 1:      # the last pass is not the one the step returns
-            ops.temperature_factor.drop_last()
-            ops.saddle_factor.drop_last()
-        w_next = _temperature_pass(spaces, problem, config, ops, mass_w, rhs_w,
-                                   z_coeff, w_coeff)
-        z_next, _ = _velocity_pass(spaces, problem, config, ops, mass_z, rhs_z,
-                                   z_coeff, w_next, ops.saddle_factor)
-        if z_new is not None:
-            rel = max(_increment(z_next, z_new), _increment(w_next, w_new))
-        else:
-            rel = None
-        z_new, w_new = z_next, w_next
-        if rel is not None and rel < config.picard_tol:
-            break
-        if passes >= config.picard_max:
-            if rel is not None and rel >= config.picard_tol:
+        # the kernels at the iterate (z_coeff, w_coeff): the next solves
+        # need them, and with the viscosity data k_data of the pass that
+        # made the iterate they give its residual in the implicit scheme
+        heat = _temperature_system(spaces, problem, config, mass_w, z_coeff,
+                                   w_coeff)
+        n_data = forms.velocity_advection_data(spaces, z_coeff)
+        if passes:
+            res = max(_relative_residual(_matvec(heat, w), rhs_w),
+                      _relative_residual(
+                          _saddle_product(spaces, mass_z + k_data + n_data, x),
+                          rhs_x))
+            if res <= config.picard_tol:
+                break
+            if passes >= config.picard_max:
                 converged = False
                 warnings.warn(f"Picard loop stopped at {passes} passes with "
-                              f"relative increment {rel:.3e}", RuntimeWarning)
-            break
-        z_coeff = FieldVector("velocity", z_new)
-        w_coeff = FieldVector("temperature", w_new)
+                              f"residual {res:.3e}", RuntimeWarning)
+                break
+        w = _checked("temperature", ops.temperature_factor.solve, heat, rhs_w)
+        k_data = forms.velocity_diffusion_data(
+            spaces, problem.model, FieldVector("temperature", w))
+        rhs_x = np.concatenate([
+            rhs_z - problem.buoyancy_sign * (ops.buoyancy @ w),
+            np.zeros(spaces.head_dim)]) * spaces.saddle_layout.mask
+        x = _velocity_pass(spaces, config, ops, mass_z, k_data, n_data,
+                           rhs_x)
+        passes += 1
+        if config.picard_max == 1:
+            break       # the linearly implicit scheme, returned unchecked
+        z_coeff = FieldVector("velocity", x[:nv])
+        w_coeff = FieldVector("temperature", w)
 
-    # the returned pass meets the strict tolerance in both systems
-    w_new = _checked("temperature", ops.temperature_factor.polish)
-    x = _checked("velocity/head", ops.saddle_factor.polish)
-    z_new, p_new = x[:spaces.velocity_dim], x[spaces.velocity_dim:]
     new_state = State(t=t_new,
-                      z=FieldVector("velocity", z_new),
-                      w=FieldVector("temperature", w_new),
-                      P=FieldVector("head", p_new))
+                      z=FieldVector("velocity", x[:nv]),
+                      w=FieldVector("temperature", w),
+                      P=FieldVector("head", x[nv:]))
     diag = compute_diagnostics(spaces, new_state, config.constants_for_re_ra,
                                problem.model, picard_iters=passes,
                                picard_converged=converged)

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from bgs import forms, solver
-from bgs.forms import FieldVector
 
 
 def coo_scatter(loc, row_map, col_map, shape) -> sp.csr_matrix:
@@ -113,46 +112,34 @@ def layout_system(layout, *block_data):
     keep = values != 0
     kept = np.zeros(len(keep) + 1, dtype=np.int32)
     np.cumsum(keep, out=kept[1:])
-    return sp.csc_matrix((values[keep], layout.indices[keep],
-                          kept[layout.indptr]), shape=layout.shape)
+    return values[keep], layout.indices[keep], kept[layout.indptr]
 
 
-def _solve_constrained(matrix, rhs, fixed, stage, lagged):
-    system, rhs = constrain(matrix, rhs, fixed)
-    try:
-        x = lagged.solve(system, rhs)
-    except RuntimeError as exc:
-        raise solver.SolverError(f"{stage} stage: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise solver.DivergenceError(f"{stage} stage returned non-finite values")
-    return x
+def _arrays(system) -> tuple:
+    """The (data, indices, indptr) that `forms.Layout.system` hands out."""
+    return system.data, system.indices, system.indptr
 
 
-def temperature_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff,
-                     w_coeff):
-    """The heat pass; rhs is M w_n / dt + load, which the step forms.  The
-    step's M / dt data, mass_dt, is not used: M / dt is formed here."""
+def temperature_system(spaces, problem, config, mass_dt, z_coeff, w_coeff):
+    """The constrained heat system.  The step's M / dt data, mass_dt, is
+    not used: M / dt is formed here."""
     a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
     c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
     system = spaces.mass_temperature / config.dt + a_k + c_tilde
-    return _solve_constrained(system, rhs, spaces.fixed_temperature_dofs,
-                              "temperature", ops.temperature_factor)
+    n = system.shape[0]
+    return _arrays(constrain(system, np.zeros(n),
+                             spaces.fixed_temperature_dofs)[0])
 
 
-def velocity_pass(spaces, problem, config, ops, mass_dt, rhs, z_coeff, w_new,
-                  lagged):
-    """The saddle pass; rhs is M z_n / dt + load, which the step forms.  The
+def velocity_pass(spaces, config, ops, mass_dt, k_data, n_data, rhs):
+    """The saddle pass; k_data and n_data are the velocity diffusion and
+    advection data the step computed, and rhs the masked right side.  The
     step's M / dt data, mass_dt, is not used: M / dt is formed here."""
-    a_g = forms.assemble_velocity_diffusion(spaces, problem.model,
-                                            FieldVector("temperature", w_new))
-    n_adv = forms.assemble_velocity_advection(spaces, z_coeff)
-    k_block = spaces.mass_velocity / config.dt + a_g + n_adv
+    pattern = spaces.velocity_pattern
+    k_block = (spaces.mass_velocity / config.dt + pattern.matrix(k_data)
+               + pattern.matrix(n_data))
     saddle = sp.bmat([[k_block, spaces.divergence.T],
                       [spaces.divergence, None]], format="csr")
-    rhs = np.concatenate([
-        rhs - problem.buoyancy_sign * (ops.buoyancy @ w_new),
-        np.zeros(spaces.head_dim)])
-    x = _solve_constrained(saddle, rhs, spaces.fixed_velocity_dofs,
-                           "velocity/head", lagged)
-    return x[:spaces.velocity_dim], x[spaces.velocity_dim:]
-
+    system, rhs = constrain(saddle, rhs, spaces.fixed_velocity_dofs)
+    return solver._checked("velocity/head", ops.saddle_factor.solve,
+                           _arrays(system), rhs)

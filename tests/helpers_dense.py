@@ -387,9 +387,16 @@ def _apply_mask(matrix, rhs, fixed):
 
 def dense_semi_implicit_step(mesh, problem, dt, t_new, z0, w0,
                              picard_tol=1e-10, picard_max=25):
-    """One heat-then-momentum update mirroring the package's scheme."""
+    """One heat-then-momentum update mirroring the package's scheme.
+
+    Each Picard pass after the first starts from the residual of the
+    iterate it has in the fully implicit system, each equation's relative
+    to its right side, and returns that iterate once both are at most
+    picard_tol; the count is of the passes that solved.
+    """
     ds = DenseSpaces(mesh)
     nvel = 2 * ds.num_nodes
+    nh = ds.nv
     m_vel = dense_velocity_mass(ds)
     m_tmp = dense_temperature_mass(ds)
     d_mat = dense_divergence(ds)
@@ -397,46 +404,47 @@ def dense_semi_implicit_step(mesh, problem, dt, t_new, z0, w0,
     load_w = dense_temperature_load(ds, problem.f2, problem.v2, t_new)
     load_z = dense_velocity_load(ds, problem.f1, problem.v1, t_new)
 
-    z_coeff, w_coeff = z0.copy(), w0.copy()
-    z_new = w_new = p_new = None
-    passes = 0
-    while True:
-        passes += 1
-        a_k = dense_temperature_diffusion(ds, problem.model.conductivity, w_coeff)
-        c_t = dense_temperature_advection(ds, z_coeff)
-        sys_w = m_tmp / dt + a_k + c_t
-        rhs_w = m_tmp @ w0 / dt + load_w
-        sys_w, rhs_w = _apply_mask(sys_w, rhs_w, ds.fixed_temperature)
-        w_next = np.linalg.solve(sys_w, rhs_w)
+    def heat(z, w):
+        """The masked heat system at transport z and conductivity of w."""
+        a_k = dense_temperature_diffusion(ds, problem.model.conductivity, w)
+        c_t = dense_temperature_advection(ds, z)
+        return _apply_mask(m_tmp / dt + a_k + c_t, m_tmp @ w0 / dt + load_w,
+                           ds.fixed_temperature)
 
-        a_g = dense_velocity_diffusion(ds, problem.model.viscosity, w_next)
-        n_adv = dense_velocity_advection(ds, z_coeff)
-        k_block = m_vel / dt + a_g + n_adv
-        nh = ds.nv
-        saddle = np.zeros((nvel + nh, nvel + nh))
-        saddle[:nvel, :nvel] = k_block
-        saddle[:nvel, nvel:] = d_mat.T
-        saddle[nvel:, :nvel] = d_mat
+    def saddle(z, w):
+        """The masked saddle system at advection z, viscosity and buoyancy
+        of w."""
+        a_g = dense_velocity_diffusion(ds, problem.model.viscosity, w)
+        n_adv = dense_velocity_advection(ds, z)
+        mat = np.zeros((nvel + nh, nvel + nh))
+        mat[:nvel, :nvel] = m_vel / dt + a_g + n_adv
+        mat[:nvel, nvel:] = d_mat.T
+        mat[nvel:, :nvel] = d_mat
         rhs = np.zeros(nvel + nh)
         rhs[:nvel] = (m_vel @ z0 / dt + load_z
-                      - problem.buoyancy_sign * (g_mat @ w_next))
-        saddle, rhs = _apply_mask(saddle, rhs, ds.fixed_velocity)
-        x = np.linalg.solve(saddle, rhs)
-        z_next, p_next = x[:nvel], x[nvel:]
+                      - problem.buoyancy_sign * (g_mat @ w))
+        return _apply_mask(mat, rhs, ds.fixed_velocity)
 
-        if z_new is not None:
-            rel = max(
-                np.linalg.norm(z_next - z_new) / max(np.linalg.norm(z_next), 1e-14),
-                np.linalg.norm(w_next - w_new) / max(np.linalg.norm(w_next), 1e-14))
-        else:
-            rel = None
-        z_new, w_new, p_new = z_next, w_next, p_next
-        if rel is not None and rel < picard_tol:
+    def meets(system, x):
+        mat, rhs = system
+        return (np.linalg.norm(mat @ x - rhs)
+                <= picard_tol * np.linalg.norm(rhs))
+
+    z, w = z0.copy(), w0.copy()
+    x = None
+    passes = 0
+    while True:
+        heat_system = heat(z, w)
+        if passes and ((meets(heat_system, w) and meets(saddle(z, w), x))
+                       or passes >= picard_max):
             break
-        if passes >= picard_max:
+        w = np.linalg.solve(*heat_system)
+        x = np.linalg.solve(*saddle(z, w))
+        z = x[:nvel]
+        passes += 1
+        if picard_max == 1:
             break
-        z_coeff, w_coeff = z_new, w_new
-    return z_new, w_new, p_new, passes
+    return z, w, x[nvel:], passes
 
 
 def dense_coercivity_constants(spaces):

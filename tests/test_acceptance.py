@@ -274,7 +274,7 @@ def _cli_run_bytes(tmp_path, name: str) -> bytes:
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from bgs.cli import main; sys.exit(main(sys.argv[1:]))",
-         "run", "--config", str(cfg_path), "--seed", "42"],
+         "run", "--config", str(cfg_path)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return (outdir / "diagnostics.csv").read_bytes()

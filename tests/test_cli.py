@@ -104,8 +104,17 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys,
 def test_negative_seed_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg)
-    assert cli.main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert cli.main(["contract", "--config", str(cfg), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_seed_is_offered_only_where_it_is_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert cli.main(["run", "--config", str(cfg), "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: config: ") and "--seed" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_problem_name_exits_2(tmp_path, capsys):
@@ -173,7 +182,7 @@ def test_run_zero_problem_writes_artifacts(tmp_path, capsys):
     assert float(row[0]) == pytest.approx(0.1)
     # every norm column of the zero run is exactly zero
     assert all(field == "0" for field in row[1:11])
-    assert row[11] == "2"
+    assert row[11] == "1"      # the first iterate's residual is 0
 
     consts = json.loads((out / "constants.json").read_text())
     assert consts["source"] == "defaults"

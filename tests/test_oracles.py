@@ -405,13 +405,40 @@ def test_cauchy_study_rejects_too_few_levels():
         oracles.cauchy_study(problem, levels=2)
 
 
+def _dual_path_gap(runs) -> float:
+    """The largest relative gap, over the states of every level pair,
+    between the report's difference norms (the coarse state represented in
+    the nested fine spaces) and the same norms taken on the fine quadrature,
+    with the coarse fields evaluated at the fine quadrature points."""
+    worst = 0.0
+    for lc, lf in zip(runs.levels, runs.levels[1:]):
+        coarse, fine = lc.spaces, lf.spaces
+        at_nodes = forms.PointEvaluator(coarse, fine.node_coords)
+        at_vertices = forms.PointEvaluator(coarse, fine.mesh.vertices)
+        at_quad = forms.PointEvaluator(coarse, fine.quad_x.reshape(-1, 2))
+        for sc, sf in zip(lc.states, lf.states):
+            z_up, w_up = oracles._interp_up(at_nodes, at_vertices, sc)
+            dz_ref = forms.l2_norm_sq(fine, forms.FieldVector(
+                "velocity", sf.z.values - z_up.values)) ** 0.5
+            dw_ref = forms.l2_norm_sq(fine, forms.FieldVector(
+                "temperature", sf.w.values - w_up.values)) ** 0.5
+            zc = at_quad.velocity(sc.z).reshape(fine.quad_x.shape)
+            zf = forms.velocity_at_quadrature(fine, sf.z)
+            dz = float(np.sum(fine.quad_w * ((zf - zc) ** 2).sum(axis=-1))) ** 0.5
+            wc = at_quad.scalar(sc.w).reshape(fine.quad_w.shape)
+            wf = forms.scalar_at_quadrature(fine, sf.w)
+            dw = float(np.sum(fine.quad_w * (wf - wc) ** 2)) ** 0.5
+            worst = max(worst, abs(dz - dz_ref) / max(dz_ref, 1e-30),
+                        abs(dw - dw_ref) / max(dw_ref, 1e-30))
+    return worst
+
+
 def test_cauchy_study_structure_small(small_runs):
-    report = oracles.cauchy_report(small_runs, dual_path=True)
+    report = oracles.cauchy_report(small_runs)
     assert len(report.e_velocity) == 2 and len(report.e_temperature) == 2
     assert len(report.ratios_velocity) == 1
     assert report.pair_levels == ((9, 25), (25, 81))
-    assert report.dual_path_gap is not None
-    assert report.dual_path_gap < 1e-10
+    assert _dual_path_gap(small_runs) < 1e-10
     assert all(e > 0 for e in report.e_velocity + report.e_temperature)
 
 
@@ -425,11 +452,11 @@ def test_cauchy_report_locates_each_point_set_once_per_pair(small_runs,
         return real_locate(spaces, pts)
 
     monkeypatch.setattr(forms, "_locate", counted)
-    report = oracles.cauchy_report(small_runs, dual_path=True)
+    report = oracles.cauchy_report(small_runs)
     monkeypatch.undo()
     levels = small_runs.levels
-    # fine P2 nodes, fine vertices and fine quadrature points, per pair
-    assert len(located) == 3 * (len(levels) - 1)
+    # fine P2 nodes and fine vertices, per pair
+    assert len(located) == 2 * (len(levels) - 1)
 
     # the distances equal those of locating the points for every state
     for k, (lc, lf) in enumerate(zip(levels, levels[1:])):
@@ -482,9 +509,8 @@ def test_reports_of_shared_runs_equal_the_studies(small_runs):
     assert shared.failures == conv.failures
     assert (shared.dt, shared.t_end) == (conv.dt, conv.t_end)
     # CauchyReport has no wall-clock field, so the whole report compares
-    assert (oracles.cauchy_report(small_runs, dual_path=True)
-            == oracles.cauchy_study(_small_problem(), dual_path=True,
-                                    **SMALL_STUDY))
+    assert (oracles.cauchy_report(small_runs)
+            == oracles.cauchy_study(_small_problem(), **SMALL_STUDY))
 
 
 def _quad_shape(n):
