@@ -1100,12 +1100,14 @@ def l2_norm_sq(spaces: FunctionSpaces, f: FieldVector) -> float:
 
 
 def l4_norm(spaces: FunctionSpaces, f: FieldVector) -> float:
-    if f.space == "velocity":
-        vq = velocity_at_quadrature(spaces, f)
-        mag2 = (vq ** 2).sum(axis=-1)
-    else:
-        mag2 = scalar_at_quadrature(spaces, f) ** 2
-    return float(np.sum(spaces.quad_w * mag2 ** 2)) ** 0.25
+    """The L4 norm of f, inf where its fourth power overflows."""
+    with np.errstate(over="ignore"):
+        if f.space == "velocity":
+            vq = velocity_at_quadrature(spaces, f)
+            mag2 = (vq ** 2).sum(axis=-1)
+        else:
+            mag2 = scalar_at_quadrature(spaces, f) ** 2
+        return float(np.sum(spaces.quad_w * mag2 ** 2)) ** 0.25
 
 
 def rot_seminorm_sq(spaces: FunctionSpaces, z: FieldVector) -> float:

@@ -682,6 +682,92 @@ def test_refinement_runs_pass_on_a_childs_warnings(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# ---------------------------------------------------------------------------
+# the form audit's fresh-sample verifications, forked
+
+
+def _audit_bytes(report):
+    return ([(c.name, c.worst.hex(), c.tol, c.passed) for c in report.checks],
+            {key: value.hex() for key, value in report.constants.items()})
+
+
+def _count_starts(monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda proc: (started.append(proc), start(proc)))
+    return started
+
+
+def _in_child_only(monkeypatch, hook):
+    """forms.trilinear_b, which the audit's child evaluates, calling hook
+    first when called in a child."""
+    parent, original = os.getpid(), forms.trilinear_b
+
+    def trilinear_b(*args):
+        if os.getpid() != parent:
+            hook()
+        return original(*args)
+    monkeypatch.setattr(forms, "trilinear_b", trilinear_b)
+
+
+def test_check_forms_is_the_same_report_on_any_lane_count(monkeypatch,
+                                                          spaces_4x4):
+    started = _count_starts(monkeypatch)
+    reports = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        reports.append(_audit_bytes(
+            oracles.check_forms(spaces_4x4, trials=5, seed=7)))
+        assert len(started) == cpus - 1
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+    names = [name for name, *_ in reports[0][0]]
+    assert names[5:7] == ["b_continuity", "dual_norm_bound"]
+
+
+def test_check_forms_carries_a_childs_failure(monkeypatch, spaces_2x2):
+    def fail_here():
+        raise ZeroDivisionError("b failed")
+
+    _cpus(monkeypatch, 2)
+    _in_child_only(monkeypatch, fail_here)
+    with pytest.raises(ZeroDivisionError, match="^b failed$") as info:
+        oracles.check_forms(spaces_2x2, trials=5)
+    remote = str(info.value.__cause__)
+    assert "in fail_here" in remote and "in fresh_samples" in remote
+    assert multiprocessing.active_children() == []
+
+
+def test_check_forms_stops_its_child_on_interrupt_while_waiting(
+        monkeypatch, spaces_2x2):
+    def interrupt(connection):
+        raise KeyboardInterrupt
+
+    _cpus(monkeypatch, 2)
+    _in_child_only(monkeypatch, lambda: time.sleep(30))
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                        interrupt)
+    tic = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        oracles.check_forms(spaces_2x2, trials=5)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - tic < 20
+
+
+def test_check_forms_passes_on_its_childs_warnings(monkeypatch, spaces_2x2):
+    def warn():
+        warnings.warn("b evaluated in the audit's child", UserWarning)
+
+    _cpus(monkeypatch, 2)
+    _in_child_only(monkeypatch, warn)
+    with pytest.warns(UserWarning, match="audit's child") as caught:
+        report = oracles.check_forms(spaces_2x2, trials=5)
+    assert report.passed
+    assert caught[0].filename == __file__
+    assert multiprocessing.active_children() == []
+
+
 def test_contraction_zero_forcing_contracts(spaces_4x4):
     problem = oracles.ProblemData(
         model=constant_model(1.0, 1.0), beta=0.0,

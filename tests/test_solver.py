@@ -187,6 +187,19 @@ def test_re_ra_scale_with_constants(spaces_2x2):
     assert halved.Ra == pytest.approx(base.Ra / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("field", ["z", "w"])
+def test_overflowing_l4_norm_is_a_divergence(spaces_2x2, field):
+    # the suite makes a RuntimeWarning an error: an overflow warning in
+    # l4_norm would fail before re_ra reports the divergence
+    state = initialize_state(spaces_2x2, cavity_problem())
+    old = getattr(state, field)
+    huge = forms.FieldVector(old.space, np.full(len(old.values), 1e200))
+    state = dataclasses.replace(state, **{field: huge})
+    assert forms.l4_norm(spaces_2x2, huge) == np.inf
+    with pytest.raises(solver.DivergenceError, match="not representable"):
+        compute_diagnostics(spaces_2x2, state, None, constant_model(1.0, 1.0))
+
+
 def test_diagnostics_csv_fields_order():
     assert Diagnostics.CSV_FIELDS == (
         "t", "kinetic", "thermal", "rot_seminorm2", "grad_w_norm2",
