@@ -304,8 +304,8 @@ class FunctionSpaces:
         """The layout of the velocity/head system [[K, D^T], [D, 0]]."""
         nv, div = self.velocity_dim, self.divergence_pattern
         return Layout(nv + self.head_dim,
-                      [(self.velocity_pattern, 0, 0, False), (div, 0, nv, True),
-                       (div, nv, 0, False)], self.fixed_velocity_dofs)
+                      [(self.velocity_pattern, 0, 0, False), (div, nv, 0, False),
+                       (div, 0, nv, True)], self.fixed_velocity_dofs)
 
 
 def _frozen(mat: sp.spmatrix) -> sp.spmatrix:
@@ -647,40 +647,53 @@ class Pattern:
 
     @cached_property
     def transposed_slots(self) -> np.ndarray:
-        """Slot of (j, i) for each slot (i, j) of a symmetric pattern."""
+        """Slot of (j, i) for each slot (i, j) of a symmetric pattern,
+        int32 and read-only like the pattern's other index arrays.  Gather
+        with ``take``: indexing with int32 first casts the indices, which
+        makes it about 2.7x slower."""
         # the keys ascend, because the pattern is canonical CSR
         keys = self.rows.astype(np.int64) * self.shape[1] + self.indices
-        return np.searchsorted(
-            keys, self.indices.astype(np.int64) * self.shape[1] + self.rows)
+        slots = np.searchsorted(
+            keys, self.indices.astype(np.int64) * self.shape[1] + self.rows
+        ).astype(np.int32)
+        slots.setflags(write=False)
+        return slots
 
 
 
 class Layout:
-    """Where each block entry of a linear system lands in its constrained CSC.
+    """A linear system of operator blocks, constrained at its fixed dofs.
 
     Blocks are operator patterns placed at a row and column offset,
-    optionally transposed.  ``system`` returns the (data, indices, indptr)
-    of the CSC matrix that ``(dm @ A @ dm + diag(fixed)).tocsc()`` gave for
-    the block matrix A and the 0/1 free-dof mask dm, bit for bit, and no
-    scipy matrix, whose constructor would check the kept structure again:
+    optionally transposed, and listed in ascending column offset.  The
+    system is dm @ A @ dm + diag(fixed) for the block matrix A and the 0/1
+    free-dof mask dm: a fixed dof's row and column hold only 1.0, on the
+    diagonal.
 
-    - an entry in a fixed row or column is dropped, and each fixed dof
-      gets 1.0 on its diagonal;
-    - every other entry keeps its value and is stored only if it is
-      nonzero, because those sparse products and sums drop exact zeros.
-      Storing them would change the pattern, and with it SuperLU's COLAMD
-      ordering and the rounding of every solve.  The saddle factor of
-      `bgs.solver` pivots with a threshold so that the rows COLAMD's column
-      order puts on the diagonal mostly stay there.
+    ``product`` multiplies the system by x from the block data on the
+    operator patterns, as a Picard pass needs, by scipy's private kernels:
+    ``csr_matvec`` for a block, ``csc_matvec`` for a transposed one, whose
+    CSR arrays read as CSC are its transpose's.  Both add onto the output
+    they are given, so each row adds its products in column order onto
+    +0.0, as ``csc_matvec`` adds it for the system's CSC matrix, and a
+    fixed row is x[fixed] + 0.0, what its identity row gives.  Where x holds
+    +-0 at the fixed dofs, as every solution and Krylov vector of a
+    constrained system with a masked right side does, the entries that the
+    matrix drops (those in fixed columns, and exact zeros) add only +-0
+    products, which leave a sum begun at +0.0 unchanged: the product is
+    the matrix's, bit for bit.
 
-    Which entries are exact zeros rarely changes on a mesh: the divergence
-    blocks' static zeros always, the velocity block's only on passes such
-    as those at z = 0.  So the layout keeps the CSC structure of the last
-    zero set it saw, read-only, across passes and runs, and rebuilds it
-    only when the block data has exact zeros at other entries.
+    ``system`` builds that CSC matrix, only to factor it.  It stores an
+    entry only if it is nonzero, as the sparse products and sums it
+    replaced did: storing exact zeros would change the pattern, and with it
+    SuperLU's COLAMD ordering and the rounding of every solve.  The saddle
+    factor of `bgs.solver` pivots with a threshold so that the rows
+    COLAMD's column order puts on the diagonal mostly stay there.
     """
 
     def __init__(self, n: int, blocks, fixed: np.ndarray):
+        self.blocks = tuple(blocks)
+        self.fixed = fixed
         rows, cols, src = [], [], []
         offset = 0
         for pattern, row0, col0, transposed in blocks:
@@ -695,9 +708,7 @@ class Layout:
         is_fixed = np.zeros(n, dtype=bool)
         is_fixed[fixed] = True
         free = ~(is_fixed[rows] | is_fixed[cols])
-        # source `offset` is the 1.0 appended after the block data; an exact
-        # zero is dropped from the system where the source is a free entry
-        self.droppable = np.append(free, False)
+        # source `offset` is the 1.0 appended after the block data
         rows = np.concatenate([rows[free], fixed])
         cols = np.concatenate([cols[free], fixed])
         src = np.concatenate([src[free], np.full(len(fixed), offset)])
@@ -708,31 +719,31 @@ class Layout:
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
         self.mask = np.ones(n)
         self.mask[fixed] = 0.0
-        for arr in (self.droppable, self.src, self.indices, self.indptr,
-                    self.mask):
+        for arr in (self.src, self.indices, self.indptr, self.mask):
             arr.setflags(write=False)
-        # (droppable sources that hold exact zeros, kept sources, indices,
-        # indptr) of the structure last built
-        self.structure = None
 
-    def system(self, *block_data: np.ndarray) -> tuple:
-        data = np.concatenate(block_data + (np.ones(1),))
-        zeros = np.flatnonzero(self.droppable & (data == 0))
-        if self.structure is None or not np.array_equal(zeros,
-                                                        self.structure[0]):
-            self.structure = self._structure(data, zeros)
-        _, kept_src, indices, indptr = self.structure
-        return data[kept_src], indices, indptr
+    def product(self, x: np.ndarray, *block_data: np.ndarray) -> np.ndarray:
+        """The system on block_data times x, for x with +-0 at the fixed
+        dofs."""
+        out = np.zeros(len(x))
+        for (pattern, row0, col0, transposed), data in zip(
+                self.blocks, block_data, strict=True):
+            m, n = pattern.shape
+            kernel = _sparsetools.csr_matvec
+            if transposed:
+                m, n, kernel = n, m, _sparsetools.csc_matvec
+            kernel(m, n, pattern.indptr, pattern.indices, data,
+                   x[col0:col0 + n], out[row0:row0 + m])
+        out[self.fixed] = x[self.fixed] + 0.0
+        return out
 
-    def _structure(self, data: np.ndarray, zeros: np.ndarray) -> tuple:
-        """The CSC structure of the entries of data that are not exact
-        zeros; zeros lists the droppable sources that are."""
-        indptr, src, indices = _compress(self.indptr, data[self.src] != 0,
-                                         self.src, self.indices)
-        structure = (zeros, src, indices, indptr)
-        for arr in structure:
-            arr.setflags(write=False)
-        return structure
+    def system(self, *block_data: np.ndarray) -> sp.csc_matrix:
+        """The CSC matrix of the system on block_data."""
+        values = np.concatenate(block_data + (np.ones(1),))[self.src]
+        indptr, data, indices = _compress(self.indptr, values != 0, values,
+                                          self.indices)
+        n = len(indptr) - 1
+        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _compress(indptr: np.ndarray, keep: np.ndarray, *arrays) -> tuple:
@@ -864,7 +875,7 @@ def _temperature_advection_difference(spaces: FunctionSpaces,
     loc = np.einsum("tq,qi,tqj->tij", spaces.quad_w, spaces.p1_at_q, zg)
     pattern = spaces.temperature_pattern
     one_sided = _summed(loc, pattern)
-    return one_sided - one_sided[pattern.transposed_slots]
+    return one_sided - one_sided.take(pattern.transposed_slots)
 
 
 def temperature_advection_data(spaces: FunctionSpaces,

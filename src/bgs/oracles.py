@@ -711,12 +711,13 @@ class FormsAuditReport:
 def _rel_skew(data: np.ndarray, pattern: forms.Pattern) -> float:
     """max |A + A^T| / max |A| for the matrix A with data on pattern."""
     scale = max(float(np.max(np.abs(data))), 1e-300)
-    return float(np.max(np.abs(data + data[pattern.transposed_slots]))) / scale
+    return float(np.max(np.abs(
+        data + data.take(pattern.transposed_slots)))) / scale
 
 
 def _abs_asym(data: np.ndarray, pattern: forms.Pattern) -> float:
     """max |A - A^T| for the matrix A with data on pattern."""
-    return float(np.max(np.abs(data - data[pattern.transposed_slots])))
+    return float(np.max(np.abs(data - data.take(pattern.transposed_slots))))
 
 
 def check_forms(spaces: FunctionSpaces, trials: int = 100,

@@ -37,14 +37,14 @@ column's largest entry), which keeps COLAMD's fill-reducing order and
 cuts the L+U fill by about 30%; the temperature system keeps SuperLU's
 default.
 
-A Picard pass builds one matrix per system and no other.  It adds the
-data arrays of its operators on their fixed patterns (the data kernels of
-`bgs.forms`), the system's layout places them into CSC arrays through a
-structure it keeps until the set of exact zeros changes, and GMRES and
-the residual checks multiply by scipy's sparse kernels directly; a scipy
-matrix is built only to be factored.  The layouts, mass matrices and D
-depend only on the mesh and live on `FunctionSpaces`; a run builds only
-the buoyancy matrix and its two factors.
+A Picard pass builds no matrix: a product per pass, a matrix only to
+factor.  It adds the data arrays of its operators on their fixed patterns
+(the data kernels of `bgs.forms`), and GMRES and the residual checks
+multiply by each system through its layout, from that data
+(`forms.Layout.product`); the layout builds a system's CSC matrix only
+when a factor is taken (`forms.Layout.system`).  The layouts, mass
+matrices and D depend only on the mesh and live on `FunctionSpaces`; a
+run builds only the buoyancy matrix and the systems it factors.
 
 A run is the generator `steps`: it holds the operators, both factors and
 the state before the current one, and yields each new state with its
@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
 
 from . import forms
 from .coefficients import CoefficientModel, constant_model
@@ -238,31 +237,20 @@ def _norm_in_units(v: np.ndarray, e: int) -> float:
         return float(np.linalg.norm(np.ldexp(v, -e)))
 
 
-def _matvec(system: tuple, x: np.ndarray) -> np.ndarray:
-    """The square CSC matrix system = (data, indices, indptr) times x: the
-    kernel scipy's `@` calls, into the zeroed buffer it allocates, without
-    building the matrix or the dispatch around it."""
-    data, indices, indptr = system
-    n = len(indptr) - 1
-    out = np.zeros(n)
-    _sparsetools.csc_matvec(n, n, indptr, indices, data, x, out)
-    return out
-
-
 # an overflow or a NaN on the way ends in a non-finite norm, which is a miss
 @np.errstate(over="ignore", invalid="ignore")
-def _krylov_solve(system: tuple, rhs: np.ndarray, lu,
+def _krylov_solve(product, rhs: np.ndarray, lu,
                   x0: np.ndarray) -> np.ndarray | None:
     """Restarted GMRES right-preconditioned by lu, from x0; None unless the
     true residual is below the stop.
 
-    system is a CSC matrix's (data, indices, indptr), and the stop is
-    max(_KRYLOV_RTOL |rhs|, _KRYLOV_ETA |rhs - system @ x0|).  Each
+    product(x) is the system A times x, and the stop is
+    max(_KRYLOV_RTOL |rhs|, _KRYLOV_ETA |rhs - A x0|).  Each
     z_j = lu.solve(v_j) is kept beside its Arnoldi vector v_j (the flexible
     form of Saad, 1993), so the update x += Z y needs no further solve: a
     call costs one LU solve per iteration.  With right preconditioning the
-    Arnoldi residual |g_{j+1}| is that of system @ x itself, and a cycle
-    stops once it is below the stop.  Norms, g and y are kept in units of
+    Arnoldi residual |g_{j+1}| is that of A x itself, and a cycle stops
+    once it is below the stop.  Norms, g and y are kept in units of
     2^e, e from rhs (`_unit_exponent`), so that no norm of a finite
     residual overflows; a non-finite norm is a miss.
     """
@@ -276,7 +264,7 @@ def _krylov_solve(system: tuple, rhs: np.ndarray, lu,
     m = _KRYLOV_RESTART
     x = x0.copy()
     for cycle in range(_KRYLOV_MAXITER):
-        r = rhs - _matvec(system, x)
+        r = rhs - product(x)
         beta = _norm_in_units(r, e)
         if not math.isfinite(beta):
             return None
@@ -294,7 +282,7 @@ def _krylov_solve(system: tuple, rhs: np.ndarray, lu,
             # a non-finite z would spread NaN and warnings through the basis
             if not np.all(np.isfinite(z[j])):
                 return None
-            w = _matvec(system, z[j])
+            w = product(z[j])
             for i in range(j + 1):  # modified Gram-Schmidt
                 h[i, j] = v[i] @ w
                 w -= h[i, j] * v[i]
@@ -321,7 +309,7 @@ def _krylov_solve(system: tuple, rhs: np.ndarray, lu,
         for y_i, z_i in zip(np.ldexp(y, e), z):
             x += y_i * z_i
     # written so that a non-finite residual also rejects x
-    if not _norm_in_units(_matvec(system, x) - rhs, e) <= stop:
+    if not _norm_in_units(product(x) - rhs, e) <= stop:
         return None
     return x
 
@@ -361,17 +349,19 @@ class _LaggedFactor:
         self.lu = None
         self.x = None
 
-    def solve(self, system: tuple, rhs: np.ndarray) -> np.ndarray:
-        """x with system @ x = rhs, system a CSC matrix's (data, indices,
-        indptr); a non-finite x is left to the caller."""
+    def solve(self, layout: forms.Layout, block_data: tuple,
+              rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs, A the system of layout on block_data; a
+        non-finite x is left to the caller.  A's matrix is built only to
+        factor it."""
         if self.lu is not None:
-            x = _krylov_solve(system, rhs, self.lu, self.x)
+            x = _krylov_solve(lambda v: layout.product(v, *block_data), rhs,
+                              self.lu, self.x)
             if x is not None:
                 self.x = x
                 return x
             self.lu = None      # release the stale factor before refactoring
-        n = len(rhs)
-        self.lu = self.factor(sp.csc_matrix(system, shape=(n, n)))
+        self.lu = self.factor(layout.system(*block_data))
         self.x = self.lu.solve(rhs)
         return self.x
 
@@ -410,46 +400,35 @@ def _checked(stage: str, solve, *args) -> np.ndarray:
 # M / dt computes, so the systems equal the sparse-sum form bit for bit.
 
 
-def _temperature_system(spaces, problem, config, mass_dt, z_coeff,
-                        w_coeff) -> tuple:
-    """The constrained heat system at (z_coeff, w_coeff), the CSC arrays of
-    `forms.Layout.system`: the system the next solve needs and the one the
-    residual of the iterate (z_coeff, w_coeff) is taken in."""
+def _kernel(fn, *args) -> np.ndarray:
+    """fn(*args), the data of a kernel at an iterate.  Inside a step a
+    kernel or coefficient law raises ValueError only on non-finite values,
+    a numeric failure: it is raised again as DivergenceError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise DivergenceError(str(exc)) from exc
+
+
+def _temperature_data(spaces, problem, mass_dt, z_coeff, w_coeff
+                      ) -> np.ndarray:
+    """The heat system's data on the temperature pattern at (z_coeff,
+    w_coeff): the system the next solve needs and the one the residual of
+    the iterate (z_coeff, w_coeff) is taken in."""
     data = mass_dt + forms.temperature_diffusion_data(spaces, problem.model,
                                                       w_coeff)
     data += forms.temperature_advection_data(spaces, z_coeff)
-    return spaces.temperature_layout.system(data)
+    return data
 
 
-def _velocity_pass(spaces, config, ops, mass_dt, k_data, n_data,
-                   rhs) -> np.ndarray:
-    """x = (z, p) of the constrained saddle system whose velocity block is
+def _saddle_data(spaces, mass_dt, k_data, n_data) -> tuple:
+    """The block data of the saddle system whose velocity block is
     M / dt + K + N, k_data and n_data the data of K and N on the velocity
-    pattern, and rhs its masked right side."""
+    pattern, in the order of `FunctionSpaces.saddle_layout`'s blocks."""
     block = mass_dt + k_data
     block += n_data
     d_data = spaces.divergence.data
-    system = spaces.saddle_layout.system(block, d_data, d_data)
-    return _checked("velocity/head", ops.saddle_factor.solve, system, rhs)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _saddle_product(spaces: FunctionSpaces, block_data: np.ndarray,
-                    x: np.ndarray) -> np.ndarray:
-    """[[A, D^T], [D, 0]] x on the free rows and 0 on the fixed ones, where
-    A has block_data on the velocity pattern: the constrained saddle
-    system's product, from the fixed patterns and no system build."""
-    nv, nh = spaces.velocity_dim, spaces.head_dim
-    pattern, d = spaces.velocity_pattern, spaces.divergence
-    z, p = x[:nv], x[nv:]
-    out = np.zeros(nv + nh)
-    # scipy's kernels add onto the output; D's CSR arrays, read as CSC,
-    # are those of D^T
-    _sparsetools.csr_matvec(nv, nv, pattern.indptr, pattern.indices,
-                            block_data, z, out[:nv])
-    _sparsetools.csc_matvec(nv, nh, d.indptr, d.indices, d.data, p, out[:nv])
-    _sparsetools.csr_matvec(nh, nv, d.indptr, d.indices, d.data, z, out[nv:])
-    return out * spaces.saddle_layout.mask
+    return block, d_data, d_data
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -477,7 +456,8 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
     afresh.  steps passes one set to every step, and with it both factors.
     Given previous, the state one step before state, the Picard loop
     starts from 2 x_n - x_(n-1) of velocity and temperature; without it,
-    from state.
+    from state.  An operator or coefficient that is not finite at an
+    iterate raises DivergenceError, not the ValueError of a bad input.
     """
     ops = operators if operators is not None else build_operators(spaces, problem)
     t_new = state.t + config.dt if t_next is None else t_next
@@ -498,19 +478,20 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                               2.0 * state.w.values - previous.w.values)
     else:
         z_coeff, w_coeff = state.z, state.w
+    heat_layout, saddle_layout = spaces.temperature_layout, spaces.saddle_layout
     passes = 0
     converged = True
     while True:
         # the kernels at the iterate (z_coeff, w_coeff): the next solves
         # need them, and with the viscosity data k_data of the pass that
         # made the iterate they give its residual in the implicit scheme
-        heat = _temperature_system(spaces, problem, config, mass_w, z_coeff,
-                                   w_coeff)
-        n_data = forms.velocity_advection_data(spaces, z_coeff)
+        heat = _kernel(_temperature_data, spaces, problem, mass_w, z_coeff,
+                       w_coeff)
+        n_data = _kernel(forms.velocity_advection_data, spaces, z_coeff)
         if passes:
-            res = max(_relative_residual(_matvec(heat, w), rhs_w),
-                      _relative_residual(
-                          _saddle_product(spaces, mass_z + k_data + n_data, x),
+            res = max(_relative_residual(heat_layout.product(w, heat), rhs_w),
+                      _relative_residual(saddle_layout.product(
+                          x, *_saddle_data(spaces, mass_z, k_data, n_data)),
                           rhs_x))
             if res <= config.picard_tol:
                 break
@@ -519,14 +500,15 @@ def step(spaces: FunctionSpaces, problem: ProblemData, config: SolverConfig,
                 warnings.warn(f"Picard loop stopped at {passes} passes with "
                               f"residual {res:.3e}", RuntimeWarning)
                 break
-        w = _checked("temperature", ops.temperature_factor.solve, heat, rhs_w)
-        k_data = forms.velocity_diffusion_data(
-            spaces, problem.model, FieldVector("temperature", w))
+        w = _checked("temperature", ops.temperature_factor.solve, heat_layout,
+                     (heat,), rhs_w)
+        k_data = _kernel(forms.velocity_diffusion_data, spaces, problem.model,
+                         FieldVector("temperature", w))
         rhs_x = np.concatenate([
             rhs_z - problem.buoyancy_sign * (ops.buoyancy @ w),
-            np.zeros(spaces.head_dim)]) * spaces.saddle_layout.mask
-        x = _velocity_pass(spaces, config, ops, mass_z, k_data, n_data,
-                           rhs_x)
+            np.zeros(spaces.head_dim)]) * saddle_layout.mask
+        x = _checked("velocity/head", ops.saddle_factor.solve, saddle_layout,
+                     _saddle_data(spaces, mass_z, k_data, n_data), rhs_x)
         passes += 1
         if config.picard_max == 1:
             break       # the linearly implicit scheme, returned unchecked

@@ -1,15 +1,15 @@
 """Test-only copies of the sparse paths that operator patterns replaced.
 
 Assembly used to scatter element blocks through a COO matrix on every
-call, and each Picard pass built its systems with `scipy.sparse.bmat`
-and masked out essential dofs with diagonal products; later it placed
-the pattern data through a layout that recomputed its structure on every
-pass.  The velocity
-diffusion and advection used to build (nt, 12, 12) element blocks; they
-now sum their compact element values through per-mesh maps, so the
-construction of their blocks is kept here too.  The copies below are
-kept verbatim, so tests can require the pattern-based paths to give the
-same matrices and states bit for bit.
+call, and each Picard pass built its systems with `scipy.sparse.bmat`,
+masked out essential dofs with diagonal products and multiplied by them
+with scipy's `@`; later it placed the pattern data through a layout that
+recomputed its structure on every pass.  The velocity diffusion and
+advection used to build (nt, 12, 12) element blocks; they now sum their
+compact element values through per-mesh maps, so the construction of
+their blocks is kept here too.  The copies below are kept verbatim, so
+tests can require the pattern-based paths to give the same matrices and
+states bit for bit.
 """
 
 from unittest import mock
@@ -106,8 +106,9 @@ def constrain(matrix, rhs, fixed):
 
 
 def layout_system(layout, *block_data):
-    """`forms.Layout.system` as it was before it kept its structure:
-    the keep mask, its cumsum and the index gathers on every call."""
+    """The CSC arrays of `forms.Layout.system`, as a layout placed its
+    block data on every pass: the keep mask, its cumsum and the index
+    gathers."""
     values = np.concatenate(block_data + (np.ones(1),))[layout.src]
     keep = values != 0
     kept = np.zeros(len(keep) + 1, dtype=np.int32)
@@ -116,30 +117,77 @@ def layout_system(layout, *block_data):
 
 
 def _arrays(system) -> tuple:
-    """The (data, indices, indptr) that `forms.Layout.system` hands out."""
+    """The (data, indices, indptr) of a scipy CSC matrix."""
     return system.data, system.indices, system.indptr
 
 
-def temperature_system(spaces, problem, config, mass_dt, z_coeff, w_coeff):
-    """The constrained heat system.  The step's M / dt data, mass_dt, is
-    not used: M / dt is formed here."""
-    a_k = forms.assemble_temperature_diffusion(spaces, problem.model, w_coeff)
-    c_tilde = forms.assemble_temperature_advection(spaces, z_coeff)
-    system = spaces.mass_temperature / config.dt + a_k + c_tilde
-    n = system.shape[0]
-    return _arrays(constrain(system, np.zeros(n),
-                             spaces.fixed_temperature_dofs)[0])
+def on_pattern(matrix, pattern) -> np.ndarray:
+    """The entries a scipy matrix stores, as data on pattern: +0.0 where it
+    stores none."""
+    m = matrix.tocsr()
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    keys = pattern.rows.astype(np.int64) * pattern.shape[1] + pattern.indices
+    data = np.zeros(pattern.nnz)
+    data[np.searchsorted(keys, rows * pattern.shape[1] + m.indices)] = m.data
+    return data
 
 
-def velocity_pass(spaces, config, ops, mass_dt, k_data, n_data, rhs):
-    """The saddle pass; k_data and n_data are the velocity diffusion and
-    advection data the step computed, and rhs the masked right side.  The
-    step's M / dt data, mass_dt, is not used: M / dt is formed here."""
-    pattern = spaces.velocity_pattern
-    k_block = (spaces.mass_velocity / config.dt + pattern.matrix(k_data)
-               + pattern.matrix(n_data))
-    saddle = sp.bmat([[k_block, spaces.divergence.T],
-                      [spaces.divergence, None]], format="csr")
-    system, rhs = constrain(saddle, rhs, spaces.fixed_velocity_dofs)
-    return solver._checked("velocity/head", ops.saddle_factor.solve,
-                           _arrays(system), rhs)
+class ConstrainedSystem:
+    """A `forms.Layout` as the passes before it were: the system is the
+    scipy matrix build(*block_data) passed through `constrain`, and its
+    product is scipy's `@` on it."""
+
+    def __init__(self, build, fixed, n):
+        self.build, self.fixed = build, fixed
+        self.mask = np.ones(n)
+        self.mask[fixed] = 0.0
+
+    def system(self, *block_data):
+        n = len(self.mask)
+        return constrain(self.build(*block_data), np.zeros(n), self.fixed)[0]
+
+    def product(self, x, *block_data):
+        return self.system(*block_data) @ x
+
+
+def use_bmat_passes(monkeypatch, config):
+    """Make the solver's passes the ones its layouts replaced.
+
+    Each system's block data is the scipy sum of M / dt and the assembled
+    operators: the step's M / dt data is not used, M / dt is formed here.
+    Each system is built by `sp.bmat` and `constrain` and multiplied by
+    scipy's `@`.
+    """
+    def temperature_data(spaces, problem, mass_dt, z_coeff, w_coeff):
+        system = (spaces.mass_temperature / config.dt
+                  + forms.assemble_temperature_diffusion(spaces, problem.model,
+                                                         w_coeff)
+                  + forms.assemble_temperature_advection(spaces, z_coeff))
+        return on_pattern(system, spaces.temperature_pattern)
+
+    def saddle_data(spaces, mass_dt, k_data, n_data):
+        pattern = spaces.velocity_pattern
+        block = (spaces.mass_velocity / config.dt + pattern.matrix(k_data)
+                 + pattern.matrix(n_data))
+        d_data = spaces.divergence.data
+        return on_pattern(block, pattern), d_data, d_data
+
+    def temperature_layout(spaces):
+        return ConstrainedSystem(spaces.temperature_pattern.matrix,
+                                 spaces.fixed_temperature_dofs,
+                                 spaces.temperature_dim)
+
+    def saddle_layout(spaces):
+        def build(block, d_data, _):
+            d = spaces.divergence_pattern.matrix(d_data)
+            return sp.bmat([[spaces.velocity_pattern.matrix(block), d.T],
+                            [d, None]], format="csr")
+        return ConstrainedSystem(build, spaces.fixed_velocity_dofs,
+                                 spaces.velocity_dim + spaces.head_dim)
+
+    monkeypatch.setattr(solver, "_temperature_data", temperature_data)
+    monkeypatch.setattr(solver, "_saddle_data", saddle_data)
+    monkeypatch.setattr(forms.FunctionSpaces, "temperature_layout",
+                        property(temperature_layout))
+    monkeypatch.setattr(forms.FunctionSpaces, "saddle_layout",
+                        property(saddle_layout))

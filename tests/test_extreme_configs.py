@@ -81,6 +81,14 @@ CASES = [
     ("picard_tol_1e-300", _with(_CAVITY, solver={"picard_tol": 1e-300}), None),
     ("picard_tol_1e300", _with(_MMS, solver={"picard_tol": 1e300}), None),
     ("picard_max_1", _with(_MMS, solver={"picard_max": 1}), None),
+    # the conductivity's stiffness overflows at the first iterate: a numeric
+    # failure of step 1 once output has begun, not a config error
+    ("conductivity_1e308",
+     {"mesh": {"nx": 2, "ny": 1, "gamma1_sides": ["left", "right"]},
+      "coefficients": {"conductivity": {"kind": "tanh_blend", "lo": 1e308,
+                                        "hi": 1e308}},
+      "physics": {"beta": 3.0}, "data": {"problem": "zero"},
+      "time": {"dt": 0.1, "t_end": 0.1}}, None),
     ("t_end_huge_int", _with(_CAVITY, time={"dt": 0.1, "t_end": _HUGE_INT}),
      "time.t_end"),
     ("beta_huge_int", _with(_CAVITY, physics={"beta": _HUGE_INT}),

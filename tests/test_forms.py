@@ -299,6 +299,27 @@ def test_sparsetools_csr_matvec_adds_each_row_in_order_onto_the_output():
     assert not np.signbit(public[0])
 
 
+def test_sparsetools_csc_matvec_adds_column_by_column_onto_the_output():
+    # Layout.product adds each transposed block by this private kernel onto
+    # the rows that csr_matvec began.  Its bytes are those of the CSC
+    # system's product only because both kernels add each row in column
+    # order onto the output they are given, -0.0 included.
+    from scipy.sparse import _sparsetools
+    ptr = np.array([0, 1, 2, 3, 4, 5], dtype=np.int32)
+    rows = np.array([0, 0, 1, 1, 1], dtype=np.int32)
+    x = np.array([-0.0, -0.0, 1e16, -1e16, 1.0])
+    out = np.full(2, -0.0)
+    _sparsetools.csc_matvec(2, 5, ptr, rows, np.ones(5), x, out)
+    assert out[0] == 0.0 and np.signbit(out[0])
+    # (1e16 - 1e16) + 1 is 1; adding 1 to 1e16 first would round it away
+    assert out[1] == 1.0
+    out = np.array([-0.0, 0.5])
+    _sparsetools.csc_matvec(2, 5, ptr, rows, np.ones(5), x, out)
+    assert out[1] == 1.0        # (0.5 + 1e16) rounds to 1e16
+    public = sp.csc_matrix((np.ones(5), rows, ptr), shape=(2, 5)) @ x
+    assert not np.signbit(public[0])
+
+
 def _same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -478,6 +499,13 @@ def test_element_tables_are_read_only_and_built_once():
         assert sum_map.weights.base is s.unit_weights
         assert len(sum_map.weights) == len(sum_map.cols)
     assert np.all(s.unit_weights == 1.0) and not s.unit_weights.flags.writeable
+    # the transposed slots are int32 like the pattern's other index arrays,
+    # and transposing twice is the identity
+    for pattern in (s.velocity_pattern, s.temperature_pattern):
+        slots = pattern.transposed_slots
+        assert slots is pattern.transposed_slots
+        assert slots.dtype == np.int32 and not slots.flags.writeable
+        assert np.array_equal(slots[slots], np.arange(pattern.nnz))
 
 
 def test_solver_structure_is_built_on_first_use_and_read_only():
@@ -494,8 +522,7 @@ def test_solver_structure_is_built_on_first_use_and_read_only():
     for mat in first[:3]:
         arrays += [mat.data, mat.indices, mat.indptr]
     for layout in first[3:]:
-        arrays += [layout.droppable, layout.src, layout.indices,
-                   layout.indptr, layout.mask]
+        arrays += [layout.src, layout.indices, layout.indptr, layout.mask]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1

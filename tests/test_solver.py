@@ -398,8 +398,8 @@ def _record_iterates(monkeypatch, spaces):
     nv = spaces.velocity_dim
     records, solved = [], []
 
-    def lagged_solve(self, system, rhs):
-        x = real_solve(self, system, rhs)
+    def lagged_solve(self, layout, block_data, rhs):
+        x = real_solve(self, layout, block_data, rhs)
         solved.append(x.copy())
         return x
 
@@ -480,25 +480,14 @@ def _krylov_never_converges(monkeypatch):
     monkeypatch.setattr(solver, "_krylov_solve", lambda *args: None)
 
 
-def _rows(system):
-    """The row count of a system: a scipy matrix, or the CSC arrays that
-    `forms.Layout.system` hands out."""
-    return system.shape[0] if sp.issparse(system) else len(system[2]) - 1
-
-
-def _csc(system):
-    """The scipy matrix of CSC arrays (data, indices, indptr)."""
-    n = _rows(system)
-    return sp.csc_matrix(system, shape=(n, n))
-
-
 def _count_calls(monkeypatch, name, module=spla):
-    """The row count of the system handed to every call of module.name."""
+    """The row count of the system of every call of module.name: the
+    matrix splu factors, or the right side a `_krylov_solve` is given."""
     real = getattr(module, name)
     calls = []
 
     def counted(system, *args, **kwargs):
-        calls.append(_rows(system))
+        calls.append(system.shape[0] if sp.issparse(system) else len(args[0]))
         return real(system, *args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -680,17 +669,17 @@ def _assert_mid_run_fallback(monkeypatch, system):
     call_steps = []     # 0-based step index of every GMRES call of `system`
     steps_done = []
 
-    def krylov(system, rhs, lu, x0):
+    def krylov(product, rhs, lu, x0):
         dim = len(rhs)
         x0_gaps[dim].append(np.max(np.abs(x0 - solutions[dim][-1])))
         if dim == missed:
             call_steps.append(len(steps_done))
             if call_steps[-1] == 1 and call_steps.count(1) == 2:
                 return None                 # its second GMRES call of step 2
-        return real_krylov(system, rhs, lu, x0)
+        return real_krylov(product, rhs, lu, x0)
 
-    def lagged_solve(self, system, rhs):
-        x = real_solve(self, system, rhs)
+    def lagged_solve(self, layout, block_data, rhs):
+        x = real_solve(self, layout, block_data, rhs)
         solutions[len(rhs)].append(x.copy())
         return x
 
@@ -769,30 +758,61 @@ class _CountingLU:
         return self._solve(rhs)
 
 
+class _System:
+    """A system a lagged solve was handed: its layout's product, and its
+    matrix as scipy's reference."""
+
+    def __init__(self, layout, block_data):
+        self.layout = layout
+        self.block_data = tuple(b.copy() for b in block_data)
+        self.matrix = layout.system(*self.block_data)
+
+    def product(self, x):
+        return self.layout.product(x, *self.block_data)
+
+
+def _record_saddle_krylov_calls(mp, spaces):
+    """(system, rhs, lu, x0) of every saddle GMRES call made while mp is
+    active, system a `_System`."""
+    real_solve, real_krylov = solver._LaggedFactor.solve, solver._krylov_solve
+    saddle_dim = _system_dims(spaces)["saddle"]
+    handed, calls = [], []
+
+    def lagged_solve(self, layout, block_data, rhs):
+        if len(rhs) == saddle_dim:
+            handed.append(_System(layout, block_data))
+        return real_solve(self, layout, block_data, rhs)
+
+    def krylov(product, rhs, lu, x0):
+        if len(rhs) == saddle_dim:
+            calls.append((handed[-1], rhs.copy(), lu, x0.copy()))
+        return real_krylov(product, rhs, lu, x0)
+
+    mp.setattr(solver._LaggedFactor, "solve", lagged_solve)
+    mp.setattr(solver, "_krylov_solve", krylov)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def lagged_saddle_call():
     """(system, rhs, lu, x0) of the first saddle GMRES call of step 2 of an
     8x8 MMS run: the factor is the one taken on step 1's first pass."""
     spaces = build_spaces(build_rectangle_mesh(8, 8, ("left",)))
-    saddle_dim = _system_dims(spaces)["saddle"]
-    real_krylov, real_step = solver._krylov_solve, solver.step
-    calls, steps_done = [], []      # the saddle calls of step 2
-
-    def krylov(system, rhs, lu, x0):
-        if len(rhs) == saddle_dim and len(steps_done) == 1:
-            calls.append((system, rhs.copy(), lu, x0.copy()))
-        return real_krylov(system, rhs, lu, x0)
-
-    def counted_step(*args, **kwargs):
-        out = real_step(*args, **kwargs)
-        steps_done.append(None)
-        return out
+    real_step = solver.step
+    calls_by_step = []      # how many calls were made when each step ended
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_krylov_solve", krylov)
+        calls = _record_saddle_krylov_calls(mp, spaces)
+
+        def counted_step(*args, **kwargs):
+            out = real_step(*args, **kwargs)
+            calls_by_step.append(len(calls))
+            return out
+
         mp.setattr(solver, "step", counted_step)
         _mms_run(spaces)
-    return calls[0]
+    assert calls_by_step[1] > calls_by_step[0]
+    return calls[calls_by_step[0]]
 
 
 def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
@@ -801,7 +821,7 @@ def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
     monkeypatch.setattr(solver, "_KRYLOV_ETA", 0.0)     # the 1e-12 stop alone
     counted = _CountingLU(lu.solve)
     x0_before = x0.copy()
-    x = solver._krylov_solve(system, rhs, counted, x0)
+    x = solver._krylov_solve(system.product, rhs, counted, x0)
     assert x is not None
     assert _relative_residual(system, x, rhs) <= 1e-12
     # only Arnoldi vectors are solved, one per iteration: unit vectors, the
@@ -809,7 +829,7 @@ def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
     basis = np.array(counted.solved)
     assert 1 <= len(basis) <= solver._KRYLOV_RESTART
     assert np.allclose(np.linalg.norm(basis, axis=1), 1.0, rtol=0, atol=1e-12)
-    r0 = rhs - _csc(system) @ x0
+    r0 = rhs - system.matrix @ x0
     assert np.isclose(basis[0] @ r0, np.linalg.norm(r0), rtol=1e-12, atol=0)
     cosines = basis @ rhs / np.linalg.norm(rhs)
     assert np.all(np.abs(cosines) < 1 - 1e-8)
@@ -819,7 +839,7 @@ def test_krylov_meets_true_residual_with_one_lu_solve_per_iteration(
 def test_krylov_zero_rhs_returns_zeros_without_lu_solve(lagged_saddle_call):
     system, rhs, lu, x0 = lagged_saddle_call
     counted = _CountingLU(lu.solve)
-    x = solver._krylov_solve(system, np.zeros_like(rhs), counted, x0)
+    x = solver._krylov_solve(system.product, np.zeros_like(rhs), counted, x0)
     assert x is not None and not np.any(x)
     assert counted.solved == []
 
@@ -833,7 +853,7 @@ def test_krylov_degenerate_factor_gives_none_without_warning(
     bad_lu = _CountingLU(lambda b: np.full_like(b, fill))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert solver._krylov_solve(system, rhs, bad_lu, x0) is None
+        assert solver._krylov_solve(system.product, rhs, bad_lu, x0) is None
     assert len(bad_lu.solved) == solves
 
 
@@ -843,7 +863,7 @@ def test_krylov_unrelated_factor_gives_none_within_budget(lagged_saddle_call):
     unrelated = spla.splu(sp.diags(rng.uniform(1.0, 2.0, len(rhs))).tocsc())
     counted = _CountingLU(unrelated.solve)
     x0_before = x0.copy()
-    assert solver._krylov_solve(system, rhs, counted, x0) is None
+    assert solver._krylov_solve(system.product, rhs, counted, x0) is None
     assert 0 < len(counted.solved) <= (solver._KRYLOV_RESTART
                                        * solver._KRYLOV_MAXITER) == 30
     assert np.array_equal(x0, x0_before)
@@ -851,10 +871,11 @@ def test_krylov_unrelated_factor_gives_none_within_budget(lagged_saddle_call):
 
 def test_krylov_exact_factor_stops_without_divide_warning(lagged_saddle_call):
     system, rhs, _, x0 = lagged_saddle_call
-    exact = _CountingLU(spla.splu(_csc(system)).solve)
+    exact = _CountingLU(spla.splu(system.matrix).solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = solver._krylov_solve(system, rhs, exact, np.zeros_like(x0))
+        x = solver._krylov_solve(system.product, rhs, exact,
+                                 np.zeros_like(x0))
     assert x is not None and len(exact.solved) == 1
 
     # the identity on a unit vector: the new Arnoldi direction is exactly 0
@@ -865,24 +886,15 @@ def test_krylov_exact_factor_stops_without_divide_warning(lagged_saddle_call):
     rhs[2] = 3.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = solver._krylov_solve(hc._arrays(identity), rhs, exact,
+        x = solver._krylov_solve(lambda v: identity @ v, rhs, exact,
                                  np.zeros(n))
     assert np.array_equal(x, rhs) and len(exact.solved) == 1
 
 
 def _lagged_saddle_calls(spaces):
     """(system, rhs, lu, x0) of every saddle GMRES call of an 8x8 MMS run."""
-    real_krylov = solver._krylov_solve
-    saddle_dim = _system_dims(spaces)["saddle"]
-    calls = []
-
-    def krylov(system, rhs, lu, x0):
-        if len(rhs) == saddle_dim:
-            calls.append((system, rhs.copy(), lu, x0.copy()))
-        return real_krylov(system, rhs, lu, x0)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_krylov_solve", krylov)
+        calls = _record_saddle_krylov_calls(mp, spaces)
         _mms_run(spaces)
     return calls
 
@@ -898,17 +910,17 @@ def farthest_saddle_call():
 
 def test_krylov_stops_at_eta_times_the_initial_residual(farthest_saddle_call):
     system, rhs, lu, x0 = farthest_saddle_call
-    r0 = np.linalg.norm(rhs - _csc(system) @ x0)
+    r0 = np.linalg.norm(rhs - system.matrix @ x0)
     assert solver._KRYLOV_ETA * r0 > 1e-12 * np.linalg.norm(rhs)
     loose, strict = _CountingLU(lu.solve), _CountingLU(lu.solve)
-    x = solver._krylov_solve(system, rhs, loose, x0)
+    x = solver._krylov_solve(system.product, rhs, loose, x0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_KRYLOV_ETA", 0.0)      # the 1e-12 stop alone
-        x_strict = solver._krylov_solve(system, rhs, strict, x0)
+        x_strict = solver._krylov_solve(system.product, rhs, strict, x0)
         # the loose solution is a start the 1e-12 stop accepts after more
         # iterations
-        tightened = solver._krylov_solve(system, rhs, lu, x)
-    assert np.linalg.norm(_csc(system) @ x - rhs) <= solver._KRYLOV_ETA * r0
+        tightened = solver._krylov_solve(system.product, rhs, lu, x)
+    assert np.linalg.norm(system.matrix @ x - rhs) <= solver._KRYLOV_ETA * r0
     assert _relative_residual(system, x, rhs) > 1e-12
     assert _relative_residual(system, x_strict, rhs) <= 1e-12
     assert 0 < len(loose.solved) < len(strict.solved)
@@ -917,21 +929,22 @@ def test_krylov_stops_at_eta_times_the_initial_residual(farthest_saddle_call):
 
 def _meets(system, x, rhs, tol=1e-12):
     """The step's residual test in the units of rhs: a NaN is a miss."""
-    return solver._relative_residual(solver._matvec(system, x), rhs) <= tol
+    return solver._relative_residual(system.product(x), rhs) <= tol
 
 
 def test_krylov_and_residual_check_are_scale_safe(farthest_saddle_call,
                                                    monkeypatch):
     system, rhs, lu, x0 = farthest_saddle_call
     monkeypatch.setattr(solver, "_KRYLOV_ETA", 0.0)     # the 1e-12 stop alone
-    x = solver._krylov_solve(system, rhs, lu, x0)
+    x = solver._krylov_solve(system.product, rhs, lu, x0)
     assert x is not None and _meets(system, x, rhs)
     # scaled by 2^960, every norm of the plain form overflows, but the
     # iterates scale exactly
     k = 960
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert np.linalg.norm(np.ldexp(rhs, k)) == np.inf
-    big = solver._krylov_solve(system, np.ldexp(rhs, k), lu, np.ldexp(x0, k))
+    big = solver._krylov_solve(system.product, np.ldexp(rhs, k), lu,
+                               np.ldexp(x0, k))
     assert big is not None and big.tobytes() == np.ldexp(x, k).tobytes()
     assert _meets(system, big, np.ldexp(rhs, k))
     assert not _meets(system, np.ldexp(x0, k), np.ldexp(rhs, k))
@@ -939,7 +952,7 @@ def test_krylov_and_residual_check_are_scale_safe(farthest_saddle_call,
     for bad in (np.inf, np.nan):
         rhs_bad = rhs.copy()
         rhs_bad[-1] = bad
-        assert solver._krylov_solve(system, rhs_bad, lu, x0) is None
+        assert solver._krylov_solve(system.product, rhs_bad, lu, x0) is None
         assert not _meets(system, x, rhs_bad, tol=1e300)
         x_bad = x.copy()
         x_bad[0] = bad
@@ -998,7 +1011,7 @@ def test_inexact_lagged_solves_keep_passes_and_return_converged_steps(case):
 
 
 def _relative_residual(system, x, rhs):
-    matrix = system if sp.issparse(system) else _csc(system)
+    matrix = system if sp.issparse(system) else system.matrix
     return np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
 
 
@@ -1014,10 +1027,10 @@ def test_saddle_factor_cuts_fill_and_solves_to_tolerance(monkeypatch):
             factored.append((matrix, lu))
         return lu
 
-    def lagged_solve(self, system, rhs):
+    def lagged_solve(self, layout, block_data, rhs):
         if len(rhs) == saddle_dim:
             rhs_seen.append(rhs.copy())
-        return real_solve(self, system, rhs)
+        return real_solve(self, layout, block_data, rhs)
 
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
@@ -1037,19 +1050,19 @@ def test_saddle_factor_cuts_fill_and_solves_to_tolerance(monkeypatch):
 
 
 def _run_recording_systems(spaces, problem, config, bmat_passes):
-    """The run, and every system its passes solve, in order."""
+    """The run, and the CSC arrays of every system its passes solve, in
+    order."""
     real_solve = solver._LaggedFactor.solve
     systems = []
 
-    def lagged_solve(self, system, rhs):
-        systems.append(system)
-        return real_solve(self, system, rhs)
+    def lagged_solve(self, layout, block_data, rhs):
+        systems.append(hc._arrays(layout.system(*block_data)))
+        return real_solve(self, layout, block_data, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver._LaggedFactor, "solve", lagged_solve)
         if bmat_passes:
-            mp.setattr(solver, "_temperature_system", hc.temperature_system)
-            mp.setattr(solver, "_velocity_pass", hc.velocity_pass)
+            hc.use_bmat_passes(mp, config)
         states, diags = run(spaces, problem, config)
     return states, diags, systems
 
@@ -1109,13 +1122,14 @@ def test_run_builds_no_block_matrix_and_converts_no_coo(monkeypatch):
     config = SolverConfig(dt=0.01, t_end=0.02)
     run(spaces, _still_cavity(), config)
     # the guard catches the passes it replaced
-    monkeypatch.setattr(solver, "_velocity_pass", hc.velocity_pass)
+    hc.use_bmat_passes(monkeypatch, config)
     with pytest.raises(AssertionError, match="bmat or a COO"):
         run(spaces, _still_cavity(), config)
 
 
 # ---------------------------------------------------------------------------
-# a lean Picard pass: data kernels, a kept system structure, direct matvecs
+# a lean Picard pass: data kernels and layout products, a matrix only to
+# factor
 
 
 def test_run_builds_only_the_fixed_operator_matrices(monkeypatch):
@@ -1151,25 +1165,15 @@ def test_run_builds_only_the_fixed_operator_matrices(monkeypatch):
     assert set(layouts) <= {spaces.temperature_layout, spaces.saddle_layout}
 
 
-def test_runs_sharing_spaces_match_runs_on_fresh_spaces_bit_for_bit(monkeypatch):
+def test_runs_sharing_spaces_match_runs_on_fresh_spaces_bit_for_bit():
     mesh = build_rectangle_mesh(8, 8, ("left",))
     model = CoefficientModel(tanh_blend_law(0.5, 2.0), tanh_blend_law(0.7, 1.3))
     cavity = (_still_cavity(), SolverConfig(dt=0.01, t_end=0.05))
     mms = (oracles.make_mms_problem(model, beta=0.5),
            SolverConfig(dt=1e-3, t_end=0.01))
-    real_structure = forms.Layout._structure
-    rebuilt = []
-
-    def structure(self, data, zeros):
-        rebuilt.append(self)
-        return real_structure(self, data, zeros)
-
-    monkeypatch.setattr(forms.Layout, "_structure", structure)
     shared = build_spaces(mesh)
     for problem, config in (cavity, mms, cavity):
-        rebuilt.clear()
         got = _run_recording_systems(shared, problem, config, False)
-        shared_rebuilt = list(rebuilt)
         want = _run_recording_systems(build_spaces(mesh), problem, config, False)
         for a, b in zip(got[0], want[0], strict=True):
             for name in ("z", "w", "P"):
@@ -1179,63 +1183,76 @@ def test_runs_sharing_spaces_match_runs_on_fresh_spaces_bit_for_bit(monkeypatch)
                 == [repr(d.csv_values()) for d in want[1]])
         for x, y in zip(got[2], want[2], strict=True):
             _assert_same_arrays(x, y)
-    # z0 = 0 in the cavity: its first pass has exact zeros that the MMS run
-    # ended without, so the shared saddle layout rebuilt its structure
-    assert shared.saddle_layout in shared_rebuilt
 
 
-def test_layout_keeps_its_structure_until_the_zero_set_changes(monkeypatch):
+def test_layout_builds_a_system_only_to_factor_it(monkeypatch):
     spaces, problem, config = _bit_case("cavity_8x8")
-    real_system = forms.Layout.system
-    real_structure = forms.Layout._structure
-    built, rebuilt = [], []
+    real_system, real_solve = forms.Layout.system, solver._LaggedFactor.solve
+    built, handed = [], []
 
     def system(self, *block_data):
-        out = real_system(self, *block_data)
-        built.append((self, [b.copy() for b in block_data], out))
-        return out
+        built.append(self)
+        return real_system(self, *block_data)
 
-    def structure(self, data, zeros):
-        rebuilt.append(self)
-        return real_structure(self, data, zeros)
+    def lagged_solve(self, layout, block_data, rhs):
+        handed.append((layout, [b.copy() for b in block_data]))
+        return real_solve(self, layout, block_data, rhs)
 
+    splu_dims = _count_calls(monkeypatch, "splu")
     monkeypatch.setattr(forms.Layout, "system", system)
-    monkeypatch.setattr(forms.Layout, "_structure", structure)
+    monkeypatch.setattr(solver._LaggedFactor, "solve", lagged_solve)
     _, diags = run(spaces, problem, config)
-    # a system per stage and pass, and the heat system of each step's check
-    # that stops it
-    assert len(built) == 2 * sum(d.picard_iters for d in diags) + len(diags)
+    # the run's first pass factors both systems, and GMRES solves the rest
+    assert built == [spaces.temperature_layout, spaces.saddle_layout]
+    assert len(splu_dims) == 2
+    # a solve per stage and pass; a direct solve on every pass builds every
+    # system, one per factor
+    passes = sum(d.picard_iters for d in diags)
+    assert len(handed) == 2 * passes
+    built.clear()
+    splu_dims.clear()
+    _krylov_never_converges(monkeypatch)
+    _, diags = run(spaces, problem, config)
+    assert len(built) == len(splu_dims) == 2 * sum(d.picard_iters
+                                                   for d in diags)
+    monkeypatch.undo()
 
-    changes = {}
-    last = {}
-    for layout, block_data, got in built:
-        want = hc.layout_system(layout, *block_data)
-        _assert_same_arrays(got, want)
-        # the kept structure is shared with later systems, so it is read-only
-        _, indices, indptr = got
-        assert not indices.flags.writeable and not indptr.flags.writeable
-        zero_set = (want[2].tobytes(), want[1].tobytes())
-        if last.get(layout) != zero_set:
-            changes[layout] = changes.get(layout, 0) + 1
-        last[layout] = zero_set
-    assert len(changes) == 2
-    for layout, count in changes.items():
-        assert rebuilt.count(layout) == count
+    stored = {}
+    for layout, block_data in handed:
+        got = hc._arrays(layout.system(*block_data))
+        _assert_same_arrays(got, hc.layout_system(layout, *block_data))
+        stored.setdefault(layout, set()).add(len(got[0]))
+    assert set(stored) == {spaces.temperature_layout, spaces.saddle_layout}
     # z0 = 0: the first saddle pass stores fewer entries than later ones
-    assert max(changes.values()) >= 2
+    assert len(stored[spaces.saddle_layout]) >= 2
 
 
-def test_matvec_is_the_product_scipy_computes_byte_for_byte():
+def test_layout_product_is_the_product_scipy_computes_byte_for_byte():
+    spaces = build_spaces(build_rectangle_mesh(4, 4, ("left",)))
     rng = np.random.default_rng(5)
-    system = sp.random(60, 60, density=0.1, format="csc", random_state=rng)
-    system.data[::3] *= -1.0
-    x = rng.standard_normal(60)
-    x[::4] = -0.0
-    for _ in range(3):
-        # a freed buffer of the product's size: numpy hands it to the next
-        # allocation of that size, so an output that is not zeroed first
-        # would start from its 7.0s
-        junk = np.full(60, 7.0)
-        del junk
-        got = solver._matvec(hc._arrays(system), x)
-        assert got.dtype == np.float64 and got.tobytes() == (system @ x).tobytes()
+    for layout in (spaces.temperature_layout, spaces.saddle_layout):
+        n = len(layout.mask)
+        block_data = []
+        for pattern, *_ in layout.blocks:
+            data = rng.standard_normal(pattern.nnz)
+            data[::3] = 0.0         # exact zeros, which the matrix drops
+            data[1::7] = -0.0
+            block_data.append(data)
+        # +-0 at the fixed dofs, as a masked right side gives
+        x = rng.standard_normal(n) * layout.mask
+        assert np.signbit(x[layout.fixed]).any()
+        x[::4] = -0.0
+        # and every product -0.0, whose sum is +0.0 only if begun at +0.0
+        cases = [(block_data, x),
+                 ([np.abs(b) for b in block_data], np.full(n, -0.0))]
+        for data, x in cases:
+            want = layout.system(*data) @ x
+            for _ in range(3):
+                # a freed buffer of the product's size: numpy hands it to
+                # the next allocation of that size, so an output that is not
+                # zeroed first would start from its 7.0s
+                junk = np.full(n, 7.0)
+                del junk
+                got = layout.product(x, *data)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
